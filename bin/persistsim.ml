@@ -89,9 +89,24 @@ let jobs_t =
    stdout stays byte-identical across --jobs values. *)
 let print_profile p = prerr_string (Parallel.Pool.render_profile p)
 
+(* A sweep's output: [text ()] on stdout as the rendering phase, then
+   the profile footer. *)
+let print_sweep profile text =
+  rendering (fun () -> print_string (text ()));
+  print_profile profile
+
 let threads_t default =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None ->
+        Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let doc = "Worker thread count." in
-  Arg.(value & opt int default & info [ "threads" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive default & info [ "threads" ] ~docv:"N" ~doc)
 
 let design_t =
   let conv_design =
@@ -137,11 +152,9 @@ let table1_cmd =
       Experiments.Table1.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ~latency_ns:latency ~insn_ns ()
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Table1.to_csv t
-           else Experiments.Table1.render t));
-    print_profile t.Experiments.Table1.profile
+    print_sweep t.Experiments.Table1.profile (fun () ->
+        if csv then Experiments.Table1.to_csv t
+        else Experiments.Table1.render t)
   in
   let latency_t =
     Arg.(value & opt float 500. & info [ "latency" ] ~docv:"NS"
@@ -181,12 +194,9 @@ let fig3_cmd =
       Experiments.Fig3.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Fig3.to_csv t
-           else Experiments.Fig3.render t);
-        if chart then print_string (fig3_chart t));
-    print_profile t.Experiments.Fig3.profile
+    print_sweep t.Experiments.Fig3.profile (fun () ->
+        (if csv then Experiments.Fig3.to_csv t else Experiments.Fig3.render t)
+        ^ if chart then fig3_chart t else "")
   in
   let chart_t =
     Arg.(value & flag & info [ "chart" ]
@@ -219,8 +229,8 @@ let consistency_cmd =
       Experiments.Consistency_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    print_string (Experiments.Consistency_exp.render t);
-    print_profile t.Experiments.Consistency_exp.profile
+    print_sweep t.Experiments.Consistency_exp.profile (fun () ->
+        Experiments.Consistency_exp.render t)
   in
   Cmd.v
     (Cmd.info "consistency"
@@ -233,8 +243,8 @@ let consistency_cmd =
 let wear_cmd =
   let run () inserts jobs =
     let t = Experiments.Wear_exp.run ~jobs ~total_inserts:inserts () in
-    print_string (Experiments.Wear_exp.render t);
-    print_profile t.Experiments.Wear_exp.profile
+    print_sweep t.Experiments.Wear_exp.profile (fun () ->
+        Experiments.Wear_exp.render t)
   in
   let inserts_small_t =
     Arg.(value & opt int 2000 & info [ "inserts" ] ~docv:"N"
@@ -253,11 +263,9 @@ let gran_cmd which name doc =
       Experiments.Granularity.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity which
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Granularity.to_csv t
-           else Experiments.Granularity.render t));
-    print_profile t.Experiments.Granularity.profile
+    print_sweep t.Experiments.Granularity.profile (fun () ->
+        if csv then Experiments.Granularity.to_csv t
+        else Experiments.Granularity.render t)
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(const run $ obs_t $ inserts_t $ capacity_t $ csv_t $ jobs_t)
@@ -277,14 +285,45 @@ let validate_cmd =
     let t =
       Experiments.Validation.run ~jobs ~threads ~total_inserts:inserts ()
     in
-    print_string (Experiments.Validation.render t);
-    print_profile t.Experiments.Validation.profile
+    print_sweep t.Experiments.Validation.profile (fun () ->
+        Experiments.Validation.render t)
   in
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Insert-distance distribution stability across schedules \
              (Section 7 validation).")
     Term.(const run $ obs_t $ inserts_t $ threads_t 4 $ jobs_t)
+
+(* Failure injection *)
+
+(* The verdict contract every failure-injection flow shares.  A
+   violation under a correct discipline exits 1.  Under --buggy a
+   caught violation is the demonstration (exit 0), and a clean verdict
+   is a bug not caught: the ERROR line says what [survived], exit 1. *)
+let conclude ~buggy ~survived ~holds ~violation = function
+  | Ok r ->
+    holds r;
+    if buggy then begin
+      Printf.printf "ERROR: %s (bug not caught)\n" survived;
+      exit 1
+    end
+  | Error f ->
+    violation f;
+    if not buggy then exit 1
+
+(* The sampled crash check of one recorded run (recovery, kv):
+   [verify] failure-injects [samples] seeded crash states of [graph]. *)
+let sampled_check ~buggy ~survivor ~title ~graph ~samples ~seed verify =
+  Printf.printf "%s, %d atomic persists, %d crash states sampled\n" title
+    (Persistency.Persist_graph.node_count graph)
+    samples;
+  conclude ~buggy
+    ~survived:(survivor ^ " survived failure injection")
+    ~holds:(fun _ ->
+      print_endline "recovery invariant holds in every sampled crash state")
+    ~violation:(fun f ->
+      Printf.printf "RECOVERY VIOLATION: %s\n" (Recovery.render_failure f))
+    (verify ~strategy:(Recovery.Sampled { samples; seed }))
 
 (* recovery *)
 
@@ -301,30 +340,15 @@ let recovery_cmd =
     in
     let cfg = Persistency.Config.make model.Experiments.Run.mode in
     let _, graph, layout = Experiments.Run.analyze_with_graph params cfg in
-    Printf.printf
-      "%s / %s%s: %d threads x %d inserts, %d atomic persists, %d crash states sampled\n"
-      (Workloads.Queue.design_name design)
-      model.Experiments.Run.label
-      (if buggy then " (buggy: data->head barrier removed)" else "")
-      threads inserts
-      (Persistency.Persist_graph.node_count graph)
-      samples;
-    match
-      Workloads.Queue_recovery.verify ~params ~layout ~graph
-        ~strategy:
-          (Recovery.Sampled { samples; seed = params.Workloads.Queue.seed })
-    with
-    | Ok _ ->
-      print_endline "recovery invariant holds in every sampled crash state";
-      if buggy then begin
-        print_endline
-          "ERROR: the buggy annotation survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error f ->
-      Printf.printf "RECOVERY VIOLATION: %s\n" (Recovery.render_failure f);
-      if not buggy then exit 1
+    sampled_check ~buggy ~survivor:"the buggy annotation"
+      ~title:
+        (Printf.sprintf "%s / %s%s: %d threads x %d inserts"
+           (Workloads.Queue.design_name design)
+           model.Experiments.Run.label
+           (if buggy then " (buggy: data->head barrier removed)" else "")
+           threads inserts)
+      ~graph ~samples ~seed:params.Workloads.Queue.seed
+      (Workloads.Queue_recovery.verify ~params ~layout ~graph)
   in
   let samples_t =
     Arg.(value & opt int 500 & info [ "samples" ] ~docv:"N"
@@ -355,11 +379,9 @@ let kv_cmd =
       Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
     in
     let t = Experiments.Kv_exp.run ~jobs ~total_ops ~dist () in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Kv_exp.to_csv t
-           else Experiments.Kv_exp.render t));
-    print_profile t.Experiments.Kv_exp.profile
+    print_sweep t.Experiments.Kv_exp.profile (fun () ->
+        if csv then Experiments.Kv_exp.to_csv t
+        else Experiments.Kv_exp.render t)
   in
   let failure_inject total_ops (model : Experiments.Run.model_point) threads
       samples buggy =
@@ -372,29 +394,14 @@ let kv_cmd =
     in
     let cfg = Persistency.Config.make model.mode in
     let _, graph, layout = Experiments.Kv_exp.analyze_with_graph params cfg in
-    Printf.printf
-      "kv / %s%s: %d threads x %d ops, %d atomic persists, %d crash states \
-       sampled\n"
-      (Kv.discipline_name params.Kv.discipline)
-      (if buggy then " (buggy: seal->slot barrier removed)" else "")
-      threads params.Kv.ops_per_thread
-      (Persistency.Persist_graph.node_count graph)
-      samples;
-    match
-      Kv_recovery.verify ~params ~layout ~graph
-        ~strategy:(Recovery.Sampled { samples; seed = params.Kv.seed })
-    with
-    | Ok _ ->
-      print_endline "recovery invariant holds in every sampled crash state";
-      if buggy then begin
-        print_endline
-          "ERROR: the buggy discipline survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error f ->
-      Printf.printf "RECOVERY VIOLATION: %s\n" (Recovery.render_failure f);
-      if not buggy then exit 1
+    sampled_check ~buggy ~survivor:"the buggy discipline"
+      ~title:
+        (Printf.sprintf "kv / %s%s: %d threads x %d ops"
+           (Kv.discipline_name params.Kv.discipline)
+           (if buggy then " (buggy: seal->slot barrier removed)" else "")
+           threads params.Kv.ops_per_thread)
+      ~graph ~samples ~seed:params.Kv.seed
+      (Kv_recovery.verify ~params ~layout ~graph)
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
     if recovery || buggy then failure_inject total_ops model threads samples buggy
@@ -449,11 +456,9 @@ let serve_cmd =
       Experiments.Serve_exp.run ~jobs ~requests ~clients ~rate ~read_pct:mix
         ~dist ~key_space ~shards_list:shards ~batches ()
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Serve_exp.to_csv t
-           else Experiments.Serve_exp.render t));
-    print_profile t.Experiments.Serve_exp.profile
+    print_sweep t.Experiments.Serve_exp.profile (fun () ->
+        if csv then Experiments.Serve_exp.to_csv t
+        else Experiments.Serve_exp.render t)
   in
   let failure_inject requests clients rate mix dist key_space shards batches
       samples (model : Serve.Sim.model) buggy =
@@ -472,23 +477,18 @@ let serve_cmd =
       "served %d (%d shed), %d group commits, mean fill %.2f, cp/put %.3f\n"
       report.Serve.Sim.served report.Serve.Sim.shed report.Serve.Sim.batches
       report.Serve.Sim.mean_fill report.Serve.Sim.cp_per_put;
-    let is_buggy = String.equal model.Serve.Sim.label "epoch-buggy" in
-    match verdict with
-    | Ok (v : Serve.Sim.verify_result) ->
-      Printf.printf
-        "group-commit recovery holds: %d crash states over %d persists \
-         across %d shards land on a batch boundary\n"
-        v.Serve.Sim.v_prefixes v.Serve.Sim.v_nodes v.Serve.Sim.v_shards;
-      if is_buggy then begin
-        print_endline
-          "ERROR: the buggy batcher survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error (shard, f) ->
-      Printf.printf "RECOVERY VIOLATION (shard %d): %s\n" shard
-        (Recovery.render_failure f);
-      if not is_buggy then exit 1
+    conclude
+      ~buggy:(String.equal model.Serve.Sim.label "epoch-buggy")
+      ~survived:"the buggy batcher survived failure injection"
+      ~holds:(fun (v : Serve.Sim.verify_result) ->
+        Printf.printf
+          "group-commit recovery holds: %d crash states over %d persists \
+           across %d shards land on a batch boundary\n"
+          v.Serve.Sim.v_prefixes v.Serve.Sim.v_nodes v.Serve.Sim.v_shards)
+      ~violation:(fun (shard, f) ->
+        Printf.printf "RECOVERY VIOLATION (shard %d): %s\n" shard
+          (Recovery.render_failure f))
+      verdict
   in
   let run () requests clients rate mix dist key_space shards batches csv jobs
       recovery samples model buggy =
@@ -792,193 +792,47 @@ let calibrate_cmd =
        ~doc:"Measure this machine's native volatile-queue insert rate.")
     Term.(const run $ obs_t $ const ())
 
-(* explore *)
+(* Machine-configuration flags (explore --machine, lockfree and litmus
+   --model): one configuration by name, with tso for tso-sync
+   (Memsim.Machine.config_of_name), or one of the named [groups] the
+   command also accepts. *)
+let machines_conv groups =
+  let parse s =
+    match (List.assoc_opt s groups, Memsim.Machine.config_of_name s) with
+    | Some ms, _ -> Ok ms
+    | None, Some m -> Ok [ m ]
+    | None, None ->
+      Error (`Msg (Printf.sprintf "unknown machine configuration %S" s))
+  in
+  let print ppf ms =
+    Format.pp_print_string ppf
+      (match List.find_opt (fun (_, g) -> g = ms) groups with
+      | Some (name, _) -> name
+      | None ->
+        String.concat ","
+          (List.map (fun (m : Memsim.Machine.config) -> m.name) ms))
+  in
+  Arg.conv (parse, print)
 
-let explore_cmd =
-  let exhaustive_limit = 20 in
-  (* The reproducer line re-runs exactly one failing schedule with the
-     same sampling seed — paste it verbatim to replay a CI
-     counter-example locally. *)
-  let reproducer ~workload ~model_label ~machine_label ~buggy ~threads ~depth
-      ~samples ~seed sched =
-    Printf.sprintf
-      "persistsim explore --workload %s --model %s --machine %s%s --threads \
-       %d --depth %d --samples %d --seed %d --replay %s"
-      workload model_label machine_label
-      (if buggy then " --buggy" else "")
-      threads depth samples seed
-      (Check.Schedule.to_string sched)
-  in
-  let run () workload (model : Experiments.Run.model_point)
-      (machine_label, mmodel, mpersistence) buggy threads depth jobs
-      max_schedules samples seed oracle replay csv =
-    (* on the TSO machine the paper's atomic persist barrier is not an
-       instruction x86 offers — realize it as the Px86 flush+sfence
-       annotation instead *)
-    let barrier =
-      match mmodel with
-      | Memsim.Machine.Sc -> Memsim.Machine.Pbarrier
-      | Memsim.Machine.Tso -> Memsim.Machine.Flush_sfence
-    in
-    let instance_of, label =
-      match workload with
-      | `Queue ->
-        let annotation =
-          if buggy then Workloads.Queue.Buggy_epoch else model.annotation
-        in
-        let params =
-          Workloads.Queue.explore_params ~threads ~depth ~machine:mmodel
-            ~persistence:mpersistence ~barrier annotation
-        in
-        let params = { params with Workloads.Queue.seed } in
-        let cfg = Persistency.Config.make model.mode in
-        ( Check.Driver.queue_instance params cfg,
-          Workloads.Queue.annotation_name annotation )
-      | `Kv ->
-        let discipline =
-          if buggy then Kv.Buggy_undo else Kv.discipline_for model.mode
-        in
-        let params =
-          Kv.explore_params ~threads ~depth ~machine:mmodel
-            ~persistence:mpersistence ~barrier discipline
-        in
-        let params = { params with Kv.seed } in
-        let cfg = Persistency.Config.make model.mode in
-        (Check.Driver.kv_instance params cfg, Kv.discipline_name discipline)
-    in
-    let workload_name = match workload with `Queue -> "queue" | `Kv -> "kv" in
-    let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
-    match replay with
-    | Some sched_str ->
-      let sched = Check.Schedule.of_string sched_str in
-      (match Check.Driver.check_schedule ~strategy sched instance_of with
-      | Ok r ->
-        Printf.printf
-          "replayed schedule (%d decisions): recovery holds in all %d \
-           durable prefixes of %d persists\n"
-          (Check.Schedule.length sched) r.Recovery.prefixes r.Recovery.nodes;
-        if buggy then begin
-          print_endline
-            "ERROR: the buggy discipline survived the replayed schedule \
-             (bug not caught)";
-          exit 1
-        end
-      | Error f ->
-        Printf.printf "RECOVERY VIOLATION on replayed schedule: %s\n"
-          (Recovery.render_failure f);
-        if not buggy then exit 1)
-    | None ->
-      let report =
-        Check.Driver.check ~max_schedules ~jobs ~strategy instance_of
-      in
-      let brute =
-        if not oracle then None
-        else begin
-          (* brute-force DFS as the oracle: every interleaving, same
-             distinct-graph census *)
-          let fps = Hashtbl.create 64 in
-          let o =
-            Memsim.Explore.run_all ~limit:max_schedules (fun policy ->
-                let inst = instance_of policy in
-                Hashtbl.replace fps
-                  (Persistency.Graph_export.fingerprint
-                     inst.Check.Driver.graph)
-                  ())
-          in
-          Some (o, Hashtbl.length fps)
-        end
-      in
-      let verdict =
-        match report.failure with Some _ -> "violated" | None -> "safe"
-      in
-      if csv then begin
-        print_string
-          "workload,discipline,model,machine,threads,depth,schedules,\
-           sleep_skips,sleep_aborts,steps,complete,distinct_graphs,\
-           recovery_checks,prefixes,verdict,brute_traces,brute_graphs\n";
-        Printf.printf "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d,%d,%s,%s,%s\n"
-          workload_name label model.label machine_label threads depth
-          report.stats.schedules
-          report.stats.sleep_skips report.stats.sleep_aborts
-          report.stats.steps report.stats.complete report.distinct
-          report.checked report.prefixes verdict
-          (match brute with
-          | Some (o, _) -> string_of_int o.Memsim.Explore.traces
-          | None -> "")
-          (match brute with Some (_, g) -> string_of_int g | None -> "")
-      end
-      else begin
-        Printf.printf
-          "explore %s / %s / %s / %s: %d threads x %d ops\n\
-          \  schedules executed    %d%s\n\
-          \  redundant runs pruned %d aborted, %d skipped before starting\n\
-          \  scheduling decisions  %d\n\
-          \  distinct persist graphs %d (%d recovery-checked, %d durable \
-           prefixes)\n"
-          workload_name label model.label machine_label threads depth
-          report.stats.schedules
-          (if report.stats.complete then " (complete)" else " (budget hit)")
-          report.stats.sleep_aborts report.stats.sleep_skips
-          report.stats.steps report.distinct report.checked report.prefixes;
-        match brute with
-        | Some (o, g) ->
-          Printf.printf
-            "  brute-force oracle    %d traces%s, %d distinct graphs\n"
-            o.Memsim.Explore.traces
-            (if o.Memsim.Explore.complete then "" else " (limit hit)")
-            g
-        | None -> ()
-      end;
-      (match report.failure with
-      | None -> ()
-      | Some (sched, f) ->
-        Printf.printf "RECOVERY VIOLATION: %s\nreproduce with:\n  %s\n"
-          (Recovery.render_failure f)
-          (reproducer ~workload:workload_name ~model_label:model.label
-             ~machine_label ~buggy
-             ~threads ~depth ~samples ~seed sched));
-      if report.failure <> None && not buggy then exit 1;
-      if report.failure = None && buggy then begin
-        print_endline
-          "ERROR: the buggy discipline survived exploration (bug not caught)";
-        exit 1
-      end
-  in
-  let workload_t =
-    let doc = "Workload to explore: $(b,queue) (CWL) or $(b,kv)." in
-    Arg.(value
-         & opt (enum [ ("queue", `Queue); ("kv", `Kv) ]) `Queue
-         & info [ "workload" ] ~docv:"W" ~doc)
-  in
-  let machine_t =
-    let mconv =
-      Arg.enum
-        [ ("sc", ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync));
-          ("tso", ("tso-sync", Memsim.Machine.Tso, Memsim.Machine.Psync));
-          ( "tso-sync",
-            ("tso-sync", Memsim.Machine.Tso, Memsim.Machine.Psync) );
-          ( "tso-buffered",
-            ("tso-buffered", Memsim.Machine.Tso, Memsim.Machine.Pbuffered) )
-        ]
-    in
-    Arg.(value
-         & opt mconv ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync)
-         & info [ "machine" ] ~docv:"MACHINE"
-             ~doc:"Machine configuration to explore under: $(b,sc) \
-                   (default), $(b,tso-sync) (alias $(b,tso)) or \
-                   $(b,tso-buffered).  On TSO machines persist barriers \
-                   are realized as the Px86 flush+sfence annotation.")
-  in
-  let buggy_t =
-    Arg.(value & flag
-         & info [ "buggy" ]
-             ~doc:"Drop the recovery-critical barrier (queue: data->head; \
-                   kv: seal->slot) so the explorer can demonstrate the \
-                   resulting violation.")
-  in
+(* DPOR crash checks: explore and lockfree --recovery *)
+
+let exhaustive_limit = 20
+
+type dpor_opts = {
+  threads : int;
+  depth : int;
+  jobs : int;
+  max_schedules : int;
+  samples : int;
+  seed : int;
+  replay : Check.Schedule.t option;
+}
+
+let dpor_opts_t =
   let depth_t =
     Arg.(value & opt int 2
-         & info [ "depth" ] ~docv:"N" ~doc:"Operations per thread.")
+         & info [ "depth" ] ~docv:"N"
+             ~doc:"Operations (lockfree: inserts) per thread to explore.")
   in
   let max_schedules_t =
     Arg.(value & opt int 100_000
@@ -998,8 +852,218 @@ let explore_cmd =
   let seed_t =
     Arg.(value & opt int 1
          & info [ "seed" ] ~docv:"N"
-             ~doc:"Workload and crash-state sampling seed; stamped into \
-                   reproducer lines.")
+             ~doc:"Workload (lockfree: key-schedule) and crash-state \
+                   sampling seed; stamped into reproducer lines.")
+  in
+  let replay_t =
+    let schedule_conv =
+      let parse s =
+        Result.map_error (fun m -> `Msg m) (Check.Schedule.parse s)
+      in
+      Arg.conv
+        ( parse,
+          fun ppf s -> Format.pp_print_string ppf (Check.Schedule.to_string s)
+        )
+    in
+    Arg.(value & opt (some schedule_conv) None
+         & info [ "replay" ] ~docv:"SCHEDULE"
+             ~doc:"Re-execute one schedule (comma-separated decision \
+                   indices, as printed in a reproducer line) instead of \
+                   exploring, and failure-inject just that run.")
+  in
+  let make threads depth jobs max_schedules samples seed replay =
+    { threads; depth; jobs; max_schedules; samples; seed; replay }
+  in
+  Term.(const make $ threads_t 2 $ depth_t $ jobs_t $ max_schedules_t
+        $ samples_t $ seed_t $ replay_t)
+
+(* Explore the interleavings of [instance machine] under each machine
+   configuration, failure-injecting every distinct persist graph:
+   [report] prints the family's summary, and a violation prints the
+   reproducer line that replays it ([command machine] plus the shared
+   flags).  With --replay, re-run that one schedule instead, under the
+   first configuration — a reproducer line stamps exactly one.
+   [survivor] names the buggy discipline in the ERROR line when it is
+   not caught [during] the exploration. *)
+let dpor_check o ~buggy ~survivor ~during ~command ~replayed ~report instance
+    machines =
+  let strategy =
+    Recovery.auto ~exhaustive_limit ~samples:o.samples ~seed:o.seed
+  in
+  match o.replay with
+  | Some sched ->
+    let machine = List.hd machines in
+    conclude ~buggy
+      ~survived:(survivor ^ " survived the replayed schedule")
+      ~holds:(replayed machine sched)
+      ~violation:(fun f ->
+        Printf.printf "RECOVERY VIOLATION on replayed schedule: %s\n"
+          (Recovery.render_failure f))
+      (Check.Driver.check_schedule ~strategy sched (instance machine))
+  | None ->
+    List.iter
+      (fun machine ->
+        let r =
+          Check.Driver.check ~max_schedules:o.max_schedules ~jobs:o.jobs
+            ~strategy (instance machine)
+        in
+        report machine r;
+        conclude ~buggy
+          ~survived:(survivor ^ " survived " ^ during)
+          ~holds:ignore
+          ~violation:(fun (sched, f) ->
+            Printf.printf
+              "RECOVERY VIOLATION: %s\n\
+               reproduce with:\n\
+              \  %s --threads %d --depth %d --samples %d --seed %d --replay \
+               %s\n"
+              (Recovery.render_failure f) (command machine) o.threads o.depth
+              o.samples o.seed
+              (Check.Schedule.to_string sched))
+          (match r.Check.Driver.failure with
+          | None -> Ok ()
+          | Some failure -> Error failure))
+      machines
+
+(* explore *)
+
+let explore_cmd =
+  let run () workload (model : Experiments.Run.model_point) machines buggy o
+      oracle csv =
+    (* on the TSO machine the paper's atomic persist barrier is not an
+       instruction x86 offers — realize it as the Px86 flush+sfence
+       annotation instead *)
+    let barrier (m : Memsim.Machine.config) =
+      match m.model with
+      | Memsim.Machine.Sc -> Memsim.Machine.Pbarrier
+      | Memsim.Machine.Tso -> Memsim.Machine.Flush_sfence
+    in
+    let cfg = Persistency.Config.make model.mode in
+    let workload_name, label, instance =
+      match workload with
+      | `Queue ->
+        let annotation =
+          if buggy then Workloads.Queue.Buggy_epoch else model.annotation
+        in
+        ( "queue",
+          Workloads.Queue.annotation_name annotation,
+          fun (m : Memsim.Machine.config) ->
+            let params =
+              Workloads.Queue.explore_params ~threads:o.threads ~depth:o.depth
+                ~machine:m.model ~persistence:m.persistence ~barrier:(barrier m)
+                annotation
+            in
+            Check.Driver.queue_instance
+              { params with Workloads.Queue.seed = o.seed }
+              cfg )
+      | `Kv ->
+        let discipline =
+          if buggy then Kv.Buggy_undo else Kv.discipline_for model.mode
+        in
+        ( "kv",
+          Kv.discipline_name discipline,
+          fun (m : Memsim.Machine.config) ->
+            let params =
+              Kv.explore_params ~threads:o.threads ~depth:o.depth
+                ~machine:m.model ~persistence:m.persistence ~barrier:(barrier m)
+                discipline
+            in
+            Check.Driver.kv_instance { params with Kv.seed = o.seed } cfg )
+    in
+    let report (m : Memsim.Machine.config) (report : Check.Driver.report) =
+      let brute =
+        if not oracle then None
+        else begin
+          (* brute-force DFS as the oracle: every interleaving, same
+             distinct-graph census *)
+          let fps = Hashtbl.create 64 in
+          let outcome =
+            Memsim.Explore.run_all ~limit:o.max_schedules (fun policy ->
+                let inst = instance m policy in
+                Hashtbl.replace fps
+                  (Persistency.Graph_export.fingerprint
+                     inst.Check.Driver.graph)
+                  ())
+          in
+          Some (outcome, Hashtbl.length fps)
+        end
+      in
+      let verdict =
+        match report.failure with Some _ -> "violated" | None -> "safe"
+      in
+      if csv then begin
+        print_string
+          "workload,discipline,model,machine,threads,depth,schedules,\
+           sleep_skips,sleep_aborts,steps,complete,distinct_graphs,\
+           recovery_checks,prefixes,verdict,brute_traces,brute_graphs\n";
+        Printf.printf "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d,%d,%s,%s,%s\n"
+          workload_name label model.label m.name o.threads o.depth
+          report.stats.schedules
+          report.stats.sleep_skips report.stats.sleep_aborts
+          report.stats.steps report.stats.complete report.distinct
+          report.checked report.prefixes verdict
+          (match brute with
+          | Some (b, _) -> string_of_int b.Memsim.Explore.traces
+          | None -> "")
+          (match brute with Some (_, g) -> string_of_int g | None -> "")
+      end
+      else begin
+        Printf.printf
+          "explore %s / %s / %s / %s: %d threads x %d ops\n\
+          \  schedules executed    %d%s\n\
+          \  redundant runs pruned %d aborted, %d skipped before starting\n\
+          \  scheduling decisions  %d\n\
+          \  distinct persist graphs %d (%d recovery-checked, %d durable \
+           prefixes)\n"
+          workload_name label model.label m.name o.threads o.depth
+          report.stats.schedules
+          (if report.stats.complete then " (complete)" else " (budget hit)")
+          report.stats.sleep_aborts report.stats.sleep_skips
+          report.stats.steps report.distinct report.checked report.prefixes;
+        match brute with
+        | Some (b, g) ->
+          Printf.printf
+            "  brute-force oracle    %d traces%s, %d distinct graphs\n"
+            b.Memsim.Explore.traces
+            (if b.Memsim.Explore.complete then "" else " (limit hit)")
+            g
+        | None -> ()
+      end
+    in
+    dpor_check o ~buggy ~survivor:"the buggy discipline" ~during:"exploration"
+      ~command:(fun (m : Memsim.Machine.config) ->
+        Printf.sprintf
+          "persistsim explore --workload %s --model %s --machine %s%s"
+          workload_name model.label m.name
+          (if buggy then " --buggy" else ""))
+      ~replayed:(fun _ sched (r : Recovery.report) ->
+        Printf.printf
+          "replayed schedule (%d decisions): recovery holds in all %d \
+           durable prefixes of %d persists\n"
+          (Check.Schedule.length sched) r.prefixes r.nodes)
+      ~report instance machines
+  in
+  let workload_t =
+    let doc = "Workload to explore: $(b,queue) (CWL) or $(b,kv)." in
+    Arg.(value
+         & opt (enum [ ("queue", `Queue); ("kv", `Kv) ]) `Queue
+         & info [ "workload" ] ~docv:"W" ~doc)
+  in
+  let machine_t =
+    Arg.(value
+         & opt (machines_conv []) [ Memsim.Machine.sc_config ]
+         & info [ "machine" ] ~docv:"MACHINE"
+             ~doc:"Machine configuration to explore under: $(b,sc) \
+                   (default), $(b,tso-sync) (alias $(b,tso)) or \
+                   $(b,tso-buffered).  On TSO machines persist barriers \
+                   are realized as the Px86 flush+sfence annotation.")
+  in
+  let buggy_t =
+    Arg.(value & flag
+         & info [ "buggy" ]
+             ~doc:"Drop the recovery-critical barrier (queue: data->head; \
+                   kv: seal->slot) so the explorer can demonstrate the \
+                   resulting violation.")
   in
   let oracle_t =
     Arg.(value & flag
@@ -1008,135 +1072,70 @@ let explore_cmd =
                    (Memsim.Explore) and print its trace and distinct-graph \
                    counts next to DPOR's.")
   in
-  let replay_t =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"SCHEDULE"
-             ~doc:"Re-execute one schedule (comma-separated decision \
-                   indices, as printed in a reproducer line) instead of \
-                   exploring, and failure-inject just that run.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Systematically explore scheduler interleavings with dynamic \
              partial-order reduction, failure-injecting recovery on every \
              distinct persist graph.")
     Term.(const run $ obs_t $ workload_t $ model_t $ machine_t $ buggy_t
-          $ threads_t 2 $ depth_t $ jobs_t $ max_schedules_t $ samples_t
-          $ seed_t $ oracle_t $ replay_t $ csv_t)
+          $ dpor_opts_t $ oracle_t $ csv_t)
 
 (* lockfree *)
 
 let lockfree_cmd =
-  let exhaustive_limit = 20 in
   let module E = Experiments.Lockfree_exp in
-  let reproducer ~discipline ~model ~threads ~depth ~samples ~seed sched =
-    Printf.sprintf
-      "persistsim lockfree --recovery --discipline %s --model %s --threads \
-       %d --depth %d --samples %d --seed %d --replay %s"
-      discipline model threads depth samples seed
-      (Check.Schedule.to_string sched)
+  let module C = Lockfree.Cas_set in
+  let sweep inserts seed csv jobs machines =
+    let t = E.run ~jobs ~inserts ~seed ~machines () in
+    print_sweep t.E.profile (fun () -> if csv then E.to_csv t else E.render t)
   in
-  let sweep inserts seed csv jobs mconfigs =
-    let t = E.run ~jobs ~inserts ~seed ~mconfigs () in
-    rendering (fun () ->
-        print_string (if csv then E.to_csv t else E.render t));
-    print_profile t.E.profile
-  in
-  let failure_inject discipline threads depth jobs max_schedules samples seed
-      replay mconfigs =
-    let module C = Lockfree.Cas_set in
-    let params_for (mc : E.mconfig) =
-      { (C.explore_params ~threads ~depth ~machine:mc.E.model
-           ~persistence:mc.E.persistence discipline)
-        with C.seed }
-    in
+  let failure_inject o discipline machines =
     let cfg = Persistency.Config.make Persistency.Config.Epoch in
-    let instance_for mc = Check.Driver.lockfree_instance (params_for mc) cfg in
-    let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
     let dname = C.discipline_name discipline in
     let buggy = discipline = C.Buggy_traverse in
-    match replay with
-    | Some sched_str ->
-      (* a reproducer line always stamps a single machine configuration;
-         replay the schedule under the first one given *)
-      let mc = List.hd mconfigs in
-      let sched = Check.Schedule.of_string sched_str in
-      (match Check.Driver.check_schedule ~strategy sched (instance_for mc) with
-      | Ok r ->
+    dpor_check o ~buggy ~survivor:"buggy-traverse" ~during:"failure injection"
+      ~command:(fun (m : Memsim.Machine.config) ->
+        Printf.sprintf
+          "persistsim lockfree --recovery --discipline %s --model %s" dname
+          m.name)
+      ~replayed:(fun m sched (r : Recovery.report) ->
         Printf.printf
           "replayed schedule (%d decisions, %s): recovery and durable \
            linearizability hold in all %d durable prefixes of %d persists\n"
-          (Check.Schedule.length sched) mc.E.mlabel r.Recovery.prefixes
-          r.Recovery.nodes;
-        if buggy then begin
+          (Check.Schedule.length sched) m.name r.prefixes r.nodes)
+      ~report:(fun m (r : Check.Driver.report) ->
+        Printf.printf
+          "lockfree / %s / %s: %d threads x %d inserts\n\
+          \  schedules executed    %d%s\n\
+          \  distinct persist graphs %d (%d recovery-checked, %d durable \
+           prefixes)\n"
+          dname m.name o.threads o.depth r.stats.Check.Dpor.schedules
+          (if r.stats.Check.Dpor.complete then " (complete)"
+           else " (budget hit)")
+          r.distinct r.checked r.prefixes;
+        if r.failure = None && not buggy then
           print_endline
-            "ERROR: buggy-traverse survived the replayed schedule (bug not \
-             caught)";
-          exit 1
-        end
-      | Error f ->
-        Printf.printf "RECOVERY VIOLATION on replayed schedule: %s\n"
-          (Recovery.render_failure f);
-        if not buggy then exit 1)
-    | None ->
-      List.iter
-        (fun (mc : E.mconfig) ->
-          let report =
-            Check.Driver.check ~max_schedules ~jobs ~strategy
-              (instance_for mc)
-          in
-          Printf.printf
-            "lockfree / %s / %s: %d threads x %d inserts\n\
-            \  schedules executed    %d%s\n\
-            \  distinct persist graphs %d (%d recovery-checked, %d durable \
-             prefixes)\n"
-            dname mc.E.mlabel threads depth
-            report.Check.Driver.stats.Check.Dpor.schedules
-            (if report.Check.Driver.stats.Check.Dpor.complete then
-               " (complete)"
-             else " (budget hit)")
-            report.Check.Driver.distinct report.Check.Driver.checked
-            report.Check.Driver.prefixes;
-          match report.Check.Driver.failure with
-          | None ->
-            if buggy then begin
-              print_endline
-                "ERROR: buggy-traverse survived failure injection (bug not \
-                 caught)";
-              exit 1
-            end
-            else
-              print_endline
-                "recovery and durable linearizability hold in every durable \
-                 prefix of every explored interleaving"
-          | Some (sched, f) ->
-            Printf.printf "RECOVERY VIOLATION: %s\nreproduce with:\n  %s\n"
-              (Recovery.render_failure f)
-              (reproducer ~discipline:dname ~model:mc.E.mlabel ~threads
-                 ~depth ~samples ~seed sched);
-            if not buggy then exit 1)
-        mconfigs
+            "recovery and durable linearizability hold in every durable \
+             prefix of every explored interleaving")
+      (fun m ->
+        Check.Driver.lockfree_instance
+          { (C.explore_params ~threads:o.threads ~depth:o.depth
+               ~machine:m.model ~persistence:m.persistence discipline)
+            with C.seed = o.seed }
+          cfg)
+      machines
   in
-  let run () recovery buggy discipline threads depth jobs max_schedules
-      samples seed replay inserts sweep_seed csv mconfigs =
-    let discipline =
-      if buggy then Lockfree.Cas_set.Buggy_traverse else discipline
-    in
-    if recovery || buggy || replay <> None then
-      failure_inject discipline threads depth jobs max_schedules samples seed
-        replay mconfigs
-    else sweep inserts sweep_seed csv jobs mconfigs
+  let run () recovery buggy discipline o inserts sweep_seed csv machines =
+    let discipline = if buggy then C.Buggy_traverse else discipline in
+    if recovery || buggy || o.replay <> None then
+      failure_inject o discipline machines
+    else sweep inserts sweep_seed csv o.jobs machines
   in
-  let mconfigs_t =
-    let mconv =
-      Arg.enum
-        [ ("sc", [ E.sc_mconfig ]);
-          ("tso", [ E.tso_sync_mconfig ]);
-          ("tso-sync", [ E.tso_sync_mconfig ]);
-          ("tso-buffered", [ E.tso_buffered_mconfig ]);
-          ("all", E.all_mconfigs) ]
-    in
-    Arg.(value & opt mconv E.all_mconfigs
+  let machines_t =
+    Arg.(value
+         & opt
+             (machines_conv [ ("all", Memsim.Machine.all_configs) ])
+             Memsim.Machine.all_configs
          & info [ "model" ] ~docv:"MODEL"
              ~doc:"Machine configuration: $(b,sc), $(b,tso-sync) (alias \
                    $(b,tso)), $(b,tso-buffered) or $(b,all) (default).  \
@@ -1151,10 +1150,10 @@ let lockfree_cmd =
     Arg.(value
          & opt
              (enum
-                [ ("flush-all", Lockfree.Cas_set.Flush_all);
-                  ("nvtraverse", Lockfree.Cas_set.Nvtraverse);
-                  ("buggy-traverse", Lockfree.Cas_set.Buggy_traverse) ])
-             Lockfree.Cas_set.Nvtraverse
+                [ ("flush-all", C.Flush_all);
+                  ("nvtraverse", C.Nvtraverse);
+                  ("buggy-traverse", C.Buggy_traverse) ])
+             C.Nvtraverse
          & info [ "discipline" ] ~docv:"D" ~doc)
   in
   let recovery_t =
@@ -1170,38 +1169,6 @@ let lockfree_cmd =
              ~doc:"With --recovery: use the buggy-traverse discipline (no \
                    pre-CAS destination flush) to demonstrate a detectable \
                    violation.")
-  in
-  let depth_t =
-    Arg.(value & opt int 2
-         & info [ "depth" ] ~docv:"N"
-             ~doc:"Inserts per thread under --recovery.")
-  in
-  let max_schedules_t =
-    Arg.(value & opt int 100_000
-         & info [ "max-schedules" ] ~docv:"N"
-             ~doc:"Schedule budget under --recovery.")
-  in
-  let samples_t =
-    Arg.(value & opt int 64
-         & info [ "samples" ] ~docv:"N"
-             ~doc:(Printf.sprintf
-                     "Crash states sampled per distinct persist graph larger \
-                      than %d nodes (smaller graphs are checked \
-                      exhaustively)."
-                     exhaustive_limit))
-  in
-  let seed_t =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Key-schedule and crash-state sampling seed under \
-                   --recovery; stamped into reproducer lines.")
-  in
-  let replay_t =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"SCHEDULE"
-             ~doc:"Re-execute one schedule (as printed in a reproducer \
-                   line) instead of exploring, and failure-inject just that \
-                   run.")
   in
   let inserts_t =
     Arg.(value & opt int 128
@@ -1222,9 +1189,7 @@ let lockfree_cmd =
              discipline (--recovery) under the durable-linearizability \
              oracle.")
     Term.(const run $ obs_t $ recovery_t $ buggy_t $ discipline_t
-          $ threads_t 2 $ depth_t $ jobs_t $ max_schedules_t $ samples_t
-          $ seed_t $ replay_t $ inserts_t $ sweep_seed_t $ csv_t
-          $ mconfigs_t)
+          $ dpor_opts_t $ inserts_t $ sweep_seed_t $ csv_t $ machines_t)
 
 (* machine (SC vs TSO) *)
 
@@ -1234,9 +1199,8 @@ let machine_cmd =
       Experiments.Machine_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    rendering (fun () ->
-        print_string (Experiments.Machine_exp.render t));
-    print_profile t.Experiments.Machine_exp.profile
+    print_sweep t.Experiments.Machine_exp.profile (fun () ->
+        Experiments.Machine_exp.render t)
   in
   Cmd.v
     (Cmd.info "machine"
@@ -1311,16 +1275,11 @@ let litmus_cmd =
     if List.exists (fun r -> not (Litmus.pass r)) results then exit 1
   in
   let models_t =
-    let model_conv =
-      Arg.enum
-        [ ("sc", [ Litmus.sc_config ]);
-          ("tso", [ Litmus.tso_sync_config ]);
-          ("tso-sync", [ Litmus.tso_sync_config ]);
-          ("tso-buffered", [ Litmus.tso_buffered_config ]);
-          ("both", [ Litmus.sc_config; Litmus.tso_sync_config ]);
-          ("all", Litmus.all_configs) ]
+    let groups =
+      Memsim.Machine.
+        [ ("both", [ sc_config; tso_sync_config ]); ("all", all_configs) ]
     in
-    Arg.(value & opt model_conv Litmus.all_configs
+    Arg.(value & opt (machines_conv groups) Litmus.all_configs
          & info [ "model" ] ~docv:"MODEL"
              ~doc:"Machine configuration: $(b,sc), $(b,tso-sync) (alias \
                    $(b,tso)), $(b,tso-buffered), $(b,both) (sc + \
@@ -1491,4 +1450,17 @@ let main =
       cache_cmd; wear_cmd; consistency_cmd; explore_cmd; lockfree_cmd;
       litmus_cmd; machine_cmd; perf_cmd; serve_cmd ]
 
-let () = exit (Cmd.eval main)
+(* Library parameter checks raise Invalid_argument (a thread count
+   that does not divide the total, a replayed schedule that does not fit
+   the run, ...): report the reason as a usage error, exit 2 as for an
+   unknown litmus test, instead of an uncaught exception. *)
+let () =
+  exit
+    (try Cmd.eval ~catch:false main with
+    | Invalid_argument reason ->
+      Printf.eprintf "persistsim: %s\n" reason;
+      2
+    | e ->
+      Printf.eprintf "persistsim: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error)

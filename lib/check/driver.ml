@@ -90,10 +90,12 @@ let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
    recovered abstract state is checked against the operations the cut
    classifies as fully / partially / not durable. *)
 let instrumented_run run cfg =
-  let cfg = { cfg with Ps.Config.record_graph = true } in
-  let engine = Ps.Engine.create cfg in
   let hist = Dlin.History.create () in
-  let result = run ~sink:(Dlin.History.sink hist (Ps.Engine.observe engine)) in
+  let engine, result =
+    Ps.Engine.drive ~tee:(Dlin.History.sink hist)
+      { cfg with Ps.Config.record_graph = true }
+      run
+  in
   let ops effect_of =
     Dlin.History.ops hist
       ~node_of_persist:(Ps.Engine.node_of_persist_event engine)

@@ -10,20 +10,21 @@ let length s = Array.length s.indices
 let to_string s =
   String.concat "," (List.map string_of_int (forced s))
 
-let of_string str =
-  if String.trim str = "" then { tids = [||]; indices = [||] }
-  else
-    let parse part =
+let parse str =
+  let rec indices acc = function
+    | [] -> Ok { tids = [||]; indices = Array.of_list (List.rev acc) }
+    | part :: rest -> (
       match int_of_string_opt (String.trim part) with
-      | Some i when i >= 0 -> i
-      | Some _ | None ->
-        invalid_arg
-          (Printf.sprintf "Schedule.of_string: bad index %S in %S" part str)
-    in
-    let indices =
-      Array.of_list (List.map parse (String.split_on_char ',' str))
-    in
-    { tids = [||]; indices }
+      | Some i when i >= 0 -> indices (i :: acc) rest
+      | Some _ | None -> Error (Printf.sprintf "bad index %S in %S" part str))
+  in
+  if String.trim str = "" then indices [] []
+  else indices [] (String.split_on_char ',' str)
+
+let of_string str =
+  match parse str with
+  | Ok s -> s
+  | Error msg -> invalid_arg ("Schedule.of_string: " ^ msg)
 
 let pp ppf s =
   if Array.length s.tids <> Array.length s.indices then

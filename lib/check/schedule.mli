@@ -27,9 +27,14 @@ val to_string : t -> string
 (** Comma-separated indices, e.g. ["0,1,1,0"]; [""] for the empty
     schedule.  Round-trips through {!of_string}. *)
 
+val parse : string -> (t, string) result
+(** The inverse of {!to_string}: [Error] names the first part that is
+    not a non-negative integer.  Blanks around each index are
+    ignored. *)
+
 val of_string : string -> t
-(** @raise Invalid_argument on anything but comma-separated
-    non-negative integers. *)
+(** {!parse}, for trusted input.
+    @raise Invalid_argument where {!parse} returns [Error]. *)
 
 val length : t -> int
 

@@ -519,6 +519,19 @@ let observe_trace t trace =
   end
   else Memsim.Trace.iter (observe t) trace
 
+let drive ?(tee = Fun.id) cfg run =
+  let t = create cfg in
+  Obs.Tracer.begin_span ~cat:"phase" "drive";
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Tracer.end_span ~cat:"phase"
+          ~args:[ ("events", string_of_int t.events) ]
+          "drive")
+      (fun () -> run ~sink:(tee (observe t)))
+  in
+  (t, result)
+
 let critical_path t = t.max_level
 let persist_events t = t.persist_events
 let persist_ops t = t.persist_events - t.coalesced

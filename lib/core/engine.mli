@@ -36,6 +36,18 @@ val observe : t -> Memsim.Event.t -> unit
 
 val observe_trace : t -> Memsim.Trace.t -> unit
 
+val drive :
+  ?tee:((Memsim.Event.t -> unit) -> Memsim.Event.t -> unit) ->
+  Config.t ->
+  (sink:(Memsim.Event.t -> unit) -> 'a) ->
+  t * 'a
+(** [drive cfg run] streams one workload run into a fresh engine: the
+    machine's events go from [run]'s sink straight into {!observe}, with
+    no materialized trace.  [tee] wraps the engine's sink (to record a
+    history alongside, say) and must pass every event on.  Under span
+    tracing the run is one ["drive"] phase span, closed with its event
+    count; tracing does not change the run. *)
+
 val critical_path : t -> int
 (** Maximum persist level assigned so far (0 when no persists). *)
 

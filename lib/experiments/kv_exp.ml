@@ -26,38 +26,19 @@ let metrics_of (engine : Persistency.Engine.t) (result : Kv.result) =
        float_of_int (Persistency.Engine.critical_path engine)
        /. float_of_int (max 1 ops)) }
 
-(* Same trace-vs-stream split as Run.drive: materialize the trace only
-   when span tracing wants generation and analysis as separate phases. *)
-let drive params engine =
-  if Obs.Tracer.enabled () then begin
-    let trace = Memsim.Trace.create () in
-    let result =
-      Obs.Tracer.with_span ~cat:"phase" "trace generation" (fun () ->
-          Kv.run params ~sink:(Memsim.Trace.sink trace))
-    in
-    Obs.Tracer.with_span ~cat:"phase"
-      ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
-      "engine analysis"
-      (fun () -> Memsim.Trace.iter (Persistency.Engine.observe engine) trace);
-    result
-  end
-  else Kv.run params ~sink:(Persistency.Engine.observe engine)
-
 let analyze params cfg =
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
+  let engine, result = Persistency.Engine.drive cfg (Kv.run params) in
   metrics_of engine result
 
 let analyze_with_graph params cfg =
-  let cfg = { cfg with Persistency.Config.record_graph = true } in
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
-  let graph =
-    match Persistency.Engine.graph engine with
-    | Some g -> g
-    | None -> assert false
+  let engine, result =
+    Persistency.Engine.drive
+      { cfg with Persistency.Config.record_graph = true }
+      (Kv.run params)
   in
-  (metrics_of engine result, graph, result.Kv.layout)
+  ( metrics_of engine result,
+    Option.get (Persistency.Engine.graph engine),
+    result.Kv.layout )
 
 let default_groups = 16
 let default_group_size = 8

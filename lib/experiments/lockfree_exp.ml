@@ -9,26 +9,6 @@
 module C = Lockfree.Cas_set
 module M = Memsim.Machine
 
-(* The machine matrix the sweep runs under: the NVTraverse win is a
-   statement about persist dependence chains, so it must hold whether
-   persists commit synchronously at the fence (sc, tso-sync) or drain
-   asynchronously from the persistence buffer (tso-buffered). *)
-type mconfig = {
-  mlabel : string;
-  model : M.model;
-  persistence : M.persistence;
-}
-
-let sc_mconfig = { mlabel = "sc"; model = M.Sc; persistence = M.Psync }
-
-let tso_sync_mconfig =
-  { mlabel = "tso-sync"; model = M.Tso; persistence = M.Psync }
-
-let tso_buffered_mconfig =
-  { mlabel = "tso-buffered"; model = M.Tso; persistence = M.Pbuffered }
-
-let all_mconfigs = [ sc_mconfig; tso_sync_mconfig; tso_buffered_mconfig ]
-
 type metrics = {
   inserts : int;
   events : int;
@@ -48,52 +28,23 @@ let metrics_of (engine : Persistency.Engine.t) (result : C.result) =
     critical_path = Persistency.Engine.critical_path engine;
     cp_per_insert = Persistency.Engine.cp_per_label engine "insert" }
 
-(* Same trace-vs-stream split as Run.drive: materialize the trace only
-   when span tracing wants generation and analysis as separate phases. *)
-let drive params engine =
-  if Obs.Tracer.enabled () then begin
-    let trace = Memsim.Trace.create () in
-    let result =
-      Obs.Tracer.with_span ~cat:"phase" "trace generation" (fun () ->
-          C.run params ~sink:(Memsim.Trace.sink trace))
-    in
-    Obs.Tracer.with_span ~cat:"phase"
-      ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
-      "engine analysis"
-      (fun () -> Memsim.Trace.iter (Persistency.Engine.observe engine) trace);
-    result
-  end
-  else C.run params ~sink:(Persistency.Engine.observe engine)
-
 let analyze params cfg =
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
+  let engine, result = Persistency.Engine.drive cfg (C.run params) in
   metrics_of engine result
 
-let analyze_with_graph params cfg =
-  let cfg = { cfg with Persistency.Config.record_graph = true } in
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
-  let graph =
-    match Persistency.Engine.graph engine with
-    | Some g -> g
-    | None -> assert false
-  in
-  (metrics_of engine result, graph, result.C.layout)
-
 let set_params ?(threads = 2) ?(inserts = 256) ?(seed = 42)
-    ?(mconfig = sc_mconfig) discipline =
+    ?(machine = M.sc_config) discipline =
   { C.discipline;
     threads;
     inserts_per_thread = inserts;
     key_space = 2 * threads * inserts;
     seed;
     policy = Memsim.Machine.Random seed;
-    machine = mconfig.model;
-    persistence = mconfig.persistence }
+    machine = machine.M.model;
+    persistence = machine.M.persistence }
 
 type cell = {
-  machine : string;  (** mconfig label: sc, tso-sync or tso-buffered *)
+  machine : string;  (** machine configuration name *)
   threads : int;
   cp_flush_all : float;
   cp_nvtraverse : float;
@@ -108,8 +59,13 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
+(* The sweep runs under the whole machine matrix by default: the
+   NVTraverse win is a statement about persist dependence chains, so it
+   must hold whether persists commit synchronously at the fence (sc,
+   tso-sync) or drain asynchronously from the persistence buffer
+   (tso-buffered). *)
 let run ?(jobs = 1) ?(threads_list = [ 1; 2; 4 ]) ?(inserts = 256)
-    ?(seed = 42) ?(mconfigs = all_mconfigs) () =
+    ?(seed = 42) ?(machines = M.all_configs) () =
   let disciplines = [ C.Flush_all; C.Nvtraverse ] in
   let sweep =
     List.concat_map
@@ -117,15 +73,15 @@ let run ?(jobs = 1) ?(threads_list = [ 1; 2; 4 ]) ?(inserts = 256)
         List.concat_map
           (fun threads -> List.map (fun d -> (mc, threads, d)) disciplines)
           threads_list)
-      mconfigs
+      machines
   in
   let points, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
       ~label:(fun _ (mc, threads, d) ->
-        Printf.sprintf "lockfree/%s/%s/%dT" mc.mlabel (C.discipline_name d)
+        Printf.sprintf "lockfree/%s/%s/%dT" mc.M.name (C.discipline_name d)
           threads)
       (fun (mc, threads, d) ->
-        let params = set_params ~threads ~inserts ~seed ~mconfig:mc d in
+        let params = set_params ~threads ~inserts ~seed ~machine:mc d in
         let cfg = Persistency.Config.make Persistency.Config.Epoch in
         (mc, threads, d, analyze params cfg))
       sweep
@@ -133,7 +89,7 @@ let run ?(jobs = 1) ?(threads_list = [ 1; 2; 4 ]) ?(inserts = 256)
   let find mc threads d =
     let _, _, _, m =
       List.find
-        (fun (mc', t, d', _) -> mc'.mlabel = mc.mlabel && t = threads && d' = d)
+        (fun (mc', t, d', _) -> mc' = mc && t = threads && d' = d)
         points
     in
     m
@@ -145,7 +101,7 @@ let run ?(jobs = 1) ?(threads_list = [ 1; 2; 4 ]) ?(inserts = 256)
           (fun threads ->
             let base = find mc threads C.Flush_all in
             let opt = find mc threads C.Nvtraverse in
-            { machine = mc.mlabel;
+            { machine = mc.M.name;
               threads;
               cp_flush_all = base.cp_per_insert;
               cp_nvtraverse = opt.cp_per_insert;
@@ -153,7 +109,7 @@ let run ?(jobs = 1) ?(threads_list = [ 1; 2; 4 ]) ?(inserts = 256)
               persists_flush_all = base.persist_ops;
               persists_nvtraverse = opt.persist_ops })
           threads_list)
-      mconfigs
+      machines
   in
   { inserts; cells; profile }
 

@@ -19,42 +19,21 @@ let metrics_of (engine : Persistency.Engine.t) (result : Workloads.Queue.result)
     cp_per_insert = Persistency.Engine.cp_per_label engine "insert";
     insert_order = result.Workloads.Queue.insert_order }
 
-(* Drive the workload into the engine.  Normally events stream straight
-   from the machine sink into the engine (no materialized trace).  When
-   span tracing is on, the trace is materialized so that generation and
-   analysis appear as distinct phases in the timeline — the engine sees
-   the same events in the same order, so results are identical. *)
-let drive params engine =
-  if Obs.Tracer.enabled () then begin
-    let trace = Memsim.Trace.create () in
-    let result =
-      Obs.Tracer.with_span ~cat:"phase" "trace generation" (fun () ->
-          Workloads.Queue.run params ~sink:(Memsim.Trace.sink trace))
-    in
-    Obs.Tracer.with_span ~cat:"phase"
-      ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
-      "engine analysis"
-      (fun () ->
-        Memsim.Trace.iter (Persistency.Engine.observe engine) trace);
-    result
-  end
-  else Workloads.Queue.run params ~sink:(Persistency.Engine.observe engine)
-
 let analyze params cfg =
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
+  let engine, result =
+    Persistency.Engine.drive cfg (Workloads.Queue.run params)
+  in
   metrics_of engine result
 
 let analyze_with_graph params cfg =
-  let cfg = { cfg with Persistency.Config.record_graph = true } in
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
-  let graph =
-    match Persistency.Engine.graph engine with
-    | Some g -> g
-    | None -> assert false
+  let engine, result =
+    Persistency.Engine.drive
+      { cfg with Persistency.Config.record_graph = true }
+      (Workloads.Queue.run params)
   in
-  (metrics_of engine result, graph, result.Workloads.Queue.layout)
+  ( metrics_of engine result,
+    Option.get (Persistency.Engine.graph engine),
+    result.Workloads.Queue.layout )
 
 type model_point = {
   label : string;

@@ -105,28 +105,10 @@ let validate t =
 
 (* A machine configuration pairs the consistency model with the Px86
    persistence semantics; the engine is configured to match. *)
-type mconfig = {
-  model : M.model;
-  persistence : M.persistence;
-}
+type mconfig = M.config
 
-let sc_config = { model = M.Sc; persistence = M.Psync }
-let tso_sync_config = { model = M.Tso; persistence = M.Psync }
-let tso_buffered_config = { model = M.Tso; persistence = M.Pbuffered }
-let all_configs = [ sc_config; tso_sync_config; tso_buffered_config ]
-
-let config_name c =
-  match c.model, c.persistence with
-  | M.Sc, M.Psync -> "sc"
-  | M.Sc, M.Pbuffered -> "sc-buffered"
-  | M.Tso, M.Psync -> "tso-sync"
-  | M.Tso, M.Pbuffered -> "tso-buffered"
-
-let config_of_name = function
-  | "sc" -> Some sc_config
-  | "tso" | "tso-sync" -> Some tso_sync_config
-  | "tso-buffered" -> Some tso_buffered_config
-  | _ -> None
+let all_configs = M.all_configs
+let config_name c = c.M.name
 
 let default_cfg =
   P.Config.make ~coalescing:false ~record_graph:true P.Config.Epoch
@@ -136,7 +118,7 @@ let buffered_cfg =
     ~px86:P.Config.Px86_buffered P.Config.Epoch
 
 let engine_cfg c =
-  match c.persistence with
+  match c.M.persistence with
   | M.Psync -> default_cfg
   | M.Pbuffered -> buffered_cfg
 
@@ -163,7 +145,7 @@ let run_one ?cfg ?(verify = false) ~config t policy =
   let cfg = match cfg with Some c -> c | None -> engine_cfg config in
   let memory = Memsim.Memory.create ~persistent_capacity:1024 () in
   let machine =
-    M.create ~policy ~model:config.model ~persistence:config.persistence
+    M.create ~policy ~model:config.M.model ~persistence:config.M.persistence
       ~memory ()
   in
   let engine = P.Engine.create cfg in
@@ -236,7 +218,7 @@ let method_name = function Brute -> "brute" | Dpor -> "dpor"
 let model_name = function M.Sc -> "sc" | M.Tso -> "tso"
 
 let expect_for t c =
-  match c.model, c.persistence with
+  match c.M.model, c.M.persistence with
   | M.Sc, _ -> t.sc
   | M.Tso, M.Psync -> t.tso
   | M.Tso, M.Pbuffered -> ( match t.tso_buf with Some e -> e | None -> t.tso)

@@ -101,26 +101,17 @@ val exec_thread :
     operation, loads landing in [regs] under key [(tid, reg)].  Exposed
     so generated programs (fuzzing) can reuse the interpreter. *)
 
-(** A machine configuration: consistency model paired with the Px86
-    persistence semantics.  {!check} configures the persistency engine
-    to match ({!Persistency.Config.px86}). *)
-type mconfig = {
-  model : Memsim.Machine.model;
-  persistence : Memsim.Machine.persistence;
-}
-
-val sc_config : mconfig
-val tso_sync_config : mconfig
-val tso_buffered_config : mconfig
+(** A machine configuration ({!Memsim.Machine.config}): consistency
+    model paired with the Px86 persistence semantics.  {!check}
+    configures the persistency engine to match
+    ({!Persistency.Config.px86}). *)
+type mconfig = Memsim.Machine.config
 
 val all_configs : mconfig list
 (** [sc], [tso-sync], [tso-buffered] — the matrix the litmus corpus is
     checked under. *)
 
 val config_name : mconfig -> string
-val config_of_name : string -> mconfig option
-(** Accepts ["sc"], ["tso"] (alias for tso-sync), ["tso-sync"],
-    ["tso-buffered"]. *)
 
 val default_cfg : Persistency.Config.t
 (** Epoch mode, 8-byte granularities, coalescing off, graph recording

@@ -10,7 +10,8 @@ let read64 image addr =
    we go.  Strictly increasing keys double as the cycle guard: a
    pointer back into the walked region would have to repeat or
    decrease a key. *)
-let recover_keys expected_keys ~(layout : C.layout) image =
+let recover ~params ~(layout : C.layout) image =
+  let expected_keys = C.keys_for params in
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let node_index addr =
     let off = addr - layout.nodes_addr in
@@ -42,25 +43,4 @@ let recover_keys expected_keys ~(layout : C.layout) image =
   | None -> bad "image does not cover the head pointer"
   | Some head -> walk [] 0 0 head
 
-let recover ~params ~layout image =
-  recover_keys (C.keys_for params) ~layout image
-
-let check ~params ~layout image =
-  match recover ~params ~layout image with
-  | Ok _ -> Ok ()
-  | Error _ as e -> e
-
-let checker ~params ~layout =
-  let expected = C.keys_for params in
-  fun image ->
-    match recover_keys expected ~layout image with
-    | Ok _ -> Ok ()
-    | Error _ as e -> e
-
 let image_capacity = C.image_capacity
-
-let verify ~params ~layout ~graph ~strategy =
-  Recovery.check ~graph
-    ~capacity:(image_capacity layout)
-    ~strategy
-    (checker ~params ~layout)

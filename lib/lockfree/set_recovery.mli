@@ -25,25 +25,4 @@ val recover :
   bytes ->
   (recovered, string) result
 
-val check :
-  params:Cas_set.params ->
-  layout:Cas_set.layout ->
-  bytes ->
-  (unit, string) result
-
-val checker :
-  params:Cas_set.params -> layout:Cas_set.layout -> Recovery.observer
-(** [check] with the key schedule precomputed, shaped for
-    {!Recovery.check}. *)
-
 val image_capacity : Cas_set.layout -> int
-
-val verify :
-  params:Cas_set.params ->
-  layout:Cas_set.layout ->
-  graph:Persistency.Persist_graph.t ->
-  strategy:Recovery.strategy ->
-  (Recovery.report, Recovery.failure) result
-(** Failure-inject this run: {!Recovery.check} with {!checker} as the
-    observer (structural invariant only; {!Check.Driver} layers the
-    durable-linearizability oracle on top). *)

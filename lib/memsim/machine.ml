@@ -58,6 +58,24 @@ type persistence =
   | Psync
   | Pbuffered
 
+type config = {
+  name : string;
+  model : model;
+  persistence : persistence;
+}
+
+let sc_config = { name = "sc"; model = Sc; persistence = Psync }
+let tso_sync_config = { name = "tso-sync"; model = Tso; persistence = Psync }
+
+let tso_buffered_config =
+  { name = "tso-buffered"; model = Tso; persistence = Pbuffered }
+
+let all_configs = [ sc_config; tso_sync_config; tso_buffered_config ]
+
+let config_of_name = function
+  | "tso" -> Some tso_sync_config
+  | name -> List.find_opt (fun c -> String.equal c.name name) all_configs
+
 type barrier_impl =
   | Pbarrier
   | Flush_sfence

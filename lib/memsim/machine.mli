@@ -101,6 +101,27 @@ type persistence =
           ones), they never force a drain.  Crash states therefore cut
           the persistence buffer as well as the store buffer. *)
 
+(** A machine configuration: consistency model paired with persistence
+    semantics, under the name the CLI, the sweeps and the litmus
+    reports print. *)
+type config = {
+  name : string;
+  model : model;
+  persistence : persistence;
+}
+
+val sc_config : config
+val tso_sync_config : config
+val tso_buffered_config : config
+
+val all_configs : config list
+(** [sc], [tso-sync], [tso-buffered] — the machine matrix the sweeps
+    and the litmus corpus run under. *)
+
+val config_of_name : string -> config option
+(** Accepts ["sc"], ["tso"] (alias for tso-sync), ["tso-sync"] and
+    ["tso-buffered"]. *)
+
 type barrier_impl =
   | Pbarrier  (** {!persist_barrier} emits [Persist_barrier] (default) *)
   | Flush_sfence

@@ -130,11 +130,6 @@ let check_cuts ~graph ~capacity ~strategy observer =
 let check ~graph ~capacity ~strategy observer =
   check_cuts ~graph ~capacity ~strategy (fun ~cut:_ image -> observer image)
 
-let check_invariant ~graph ~capacity ~strategy observer =
-  match check ~graph ~capacity ~strategy observer with
-  | Ok _ -> Ok ()
-  | Error f -> Error (render_failure f)
-
 (* 2^20 prefixes is the most an exhaustive walk should attempt; the
    [all_down_closed] hard ceiling is 24 nodes, but graphs that dense
    are already better sampled. *)

@@ -69,16 +69,6 @@ val check :
   (report, failure) result
 (** {!check_cuts} for observers that do not need the prefix itself. *)
 
-val check_invariant :
-  graph:Persistency.Persist_graph.t ->
-  capacity:int ->
-  strategy:strategy ->
-  observer ->
-  (unit, string) result
-(** {!check} with the failure rendered as a one-line message — the
-    shape of {!Persistency.Observer.check_cut_invariant}, for call
-    sites that only need pass/fail. *)
-
 val render_failure : failure -> string
 (** ["crash state with N/M persists durable: ..."]. *)
 

@@ -36,7 +36,14 @@ let test_schedule_roundtrip () =
   Alcotest.(check int) "empty" 0 (S.length (S.of_string ""));
   Alcotest.(check string) "empty round-trip" ""
     (S.to_string (S.of_string ""));
+  Alcotest.(check (list int)) "blanks ignored" [ 2; 0 ]
+    (match S.parse " 2 , 0" with
+    | Ok s -> S.forced s
+    | Error msg -> Alcotest.fail msg);
   let rejects str =
+    (match S.parse str with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "parse %S should have failed" str);
     match S.of_string str with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "of_string %S should have raised" str

@@ -26,6 +26,7 @@
    domain pool — the fuzzer dogfoods lib/parallel. *)
 
 module E = Memsim.Event
+module M = Memsim.Machine
 module P = Persistency
 
 let traces_per_model =
@@ -316,18 +317,18 @@ let gen_racefree_test rng seed =
     tso = { Litmus.allowed = []; forbidden = [] };
     tso_buf = None }
 
-let fingerprint_census t (config : Litmus.mconfig) =
+let fingerprint_census t (config : M.config) =
   let seen = Hashtbl.create 64 in
   let cfg =
-    if config.Litmus.persistence = Memsim.Machine.Pbuffered then
+    if config.persistence = M.Pbuffered then
       Litmus.buffered_cfg
     else Litmus.default_cfg
   in
   let run policy =
     let memory = Memsim.Memory.create ~persistent_capacity:1024 () in
     let machine =
-      Memsim.Machine.create ~policy ~model:config.Litmus.model
-        ~persistence:config.Litmus.persistence ~memory ()
+      M.create ~policy ~model:config.model ~persistence:config.persistence
+        ~memory ()
     in
     let engine = P.Engine.create cfg in
     Memsim.Machine.set_sink machine (P.Engine.observe engine);
@@ -359,8 +360,8 @@ let test_racefree_sc_tso_census () =
     traced ~name:"racefree-sc-tso" ~seed @@ fun () ->
     let rng = Random.State.make [| 0x2545f491; seed |] in
     let t = gen_racefree_test rng seed in
-    let sc_traces, sc_census = fingerprint_census t Litmus.sc_config in
-    let tso_traces, tso_census = fingerprint_census t Litmus.tso_sync_config in
+    let sc_traces, sc_census = fingerprint_census t M.sc_config in
+    let tso_traces, tso_census = fingerprint_census t M.tso_sync_config in
     if sc_census <> tso_census then
       Alcotest.failf
         "%s: fingerprint census diverged (sc %d fingerprints / %d traces, \
@@ -415,10 +416,10 @@ let test_fenced_sync_buffered_census () =
     let rng = Random.State.make [| 0x6c62272e; seed |] in
     let t = gen_fenced_test rng seed in
     let sync_traces, sync_census =
-      fingerprint_census t Litmus.tso_sync_config
+      fingerprint_census t M.tso_sync_config
     in
     let buf_traces, buf_census =
-      fingerprint_census t Litmus.tso_buffered_config
+      fingerprint_census t M.tso_buffered_config
     in
     if sync_census <> buf_census then
       Alcotest.failf

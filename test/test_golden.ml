@@ -98,9 +98,58 @@ let test_different_seeds_differ () =
   checkb "seeds change interleaving" true
     (trace_string (params 1) <> trace_string (params 2))
 
+(* CLI stdout golden: [cli.golden] holds, per command, a "$ persistsim
+   ARGS" line, the command's full standard output and an "[exit N]"
+   line.  Each command is re-run here and must reproduce both exactly,
+   so refactors of the subcommands keep tables, verdicts, reproducer
+   lines and exit codes byte-identical (stderr, where the sweep
+   profiles go, is not compared).  Both files are resolved against the
+   test executable's directory, where [dune runtest] puts them. *)
+let persistsim =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../bin/persistsim.exe"
+
+let golden_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "cli.golden"
+
+let golden_blocks () =
+  let rec blocks acc = function
+    | [] -> List.rev acc
+    | line :: rest when String.starts_with ~prefix:"$ persistsim " line ->
+      let args = String.sub line 13 (String.length line - 13) in
+      let rec body out = function
+        | l :: rest when String.starts_with ~prefix:"[exit " l ->
+          let code = Scanf.sscanf l "[exit %d]" Fun.id in
+          blocks ((args, String.concat "" (List.rev out), code) :: acc) rest
+        | l :: rest -> body ((l ^ "\n") :: out) rest
+        | [] -> Alcotest.failf "%s: no [exit N] line after %S" golden_file line
+      in
+      body [] rest
+    | _ :: rest -> blocks acc rest
+  in
+  blocks [] (In_channel.with_open_text golden_file In_channel.input_lines)
+
+let run_cli args =
+  let ic = Unix.open_process_in (persistsim ^ " " ^ args ^ " 2>/dev/null") in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (out, n)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.failf "%s killed" args
+
+let test_cli (args, expected, code) () =
+  let out, n = run_cli args in
+  Alcotest.(check string) "stdout" expected out;
+  checki "exit code" code n
+
 let () =
   Alcotest.run "golden"
-    [ ( "traces",
+    [ ( "cli",
+        List.map
+          (fun ((args, _, _) as block) ->
+            Alcotest.test_case args `Quick (test_cli block))
+          (golden_blocks ()) );
+      ( "traces",
         [ Alcotest.test_case "golden event stream" `Quick test_golden_trace;
           Alcotest.test_case "deterministic" `Quick test_trace_deterministic;
           Alcotest.test_case "engine counts" `Quick

@@ -75,8 +75,8 @@ let test_tso_weaker () =
       let tso_only =
         List.filter (fun o -> not (List.mem o t.L.sc.L.allowed)) t.L.tso.L.allowed
       in
-      let sc = L.check ~config:L.sc_config t
-      and tso = L.check ~config:L.tso_sync_config t in
+      let sc = L.check ~config:M.sc_config t
+      and tso = L.check ~config:M.tso_sync_config t in
       assert_pass sc;
       assert_pass tso;
       List.iter
@@ -111,8 +111,8 @@ let test_buffered_weaker () =
       let buf_only =
         List.filter (fun o -> not (List.mem o t.L.tso.L.allowed)) buf.L.allowed
       in
-      let sync = L.check ~config:L.tso_sync_config t
-      and buffered = L.check ~verify:true ~config:L.tso_buffered_config t in
+      let sync = L.check ~config:M.tso_sync_config t
+      and buffered = L.check ~verify:true ~config:M.tso_buffered_config t in
       assert_pass sync;
       assert_pass buffered;
       List.iter
@@ -157,8 +157,8 @@ let test_dpor_reduction () =
      loads — brute force enumerates every drain interleaving while DPOR
      collapses commuting ones. *)
   let t = Option.get (L.find "SB") in
-  let brute = L.check ~config:L.tso_sync_config t in
-  let dpor = L.check ~how:L.Dpor ~config:L.tso_sync_config t in
+  let brute = L.check ~config:M.tso_sync_config t in
+  let dpor = L.check ~how:L.Dpor ~config:M.tso_sync_config t in
   assert_pass brute;
   assert_pass dpor;
   Alcotest.(check (list string))
@@ -174,8 +174,8 @@ let test_dpor_reduction_buffered () =
      drain pseudo-threads multiply brute-force interleavings; DPOR
      collapses the commuting ones without losing outcomes *)
   let t = Option.get (L.find "cross-thread-flush-async") in
-  let brute = L.check ~config:L.tso_buffered_config t in
-  let dpor = L.check ~how:L.Dpor ~config:L.tso_buffered_config t in
+  let brute = L.check ~config:M.tso_buffered_config t in
+  let dpor = L.check ~how:L.Dpor ~config:M.tso_buffered_config t in
   assert_pass brute;
   assert_pass dpor;
   Alcotest.(check (list string))
@@ -196,9 +196,9 @@ let () =
   in
   Alcotest.run "litmus"
     [ ("suite", [ Alcotest.test_case "size+validate" `Quick test_suite_size ]);
-      ("sc", config_cases L.sc_config);
-      ("tso-sync", config_cases L.tso_sync_config);
-      ("tso-buffered", config_cases L.tso_buffered_config);
+      ("sc", config_cases M.sc_config);
+      ("tso-sync", config_cases M.tso_sync_config);
+      ("tso-buffered", config_cases M.tso_buffered_config);
       ( "acceptance",
         [ Alcotest.test_case "tso weaker on >=3 shapes" `Quick test_tso_weaker;
           Alcotest.test_case "buffered weaker on >=3 shapes" `Quick

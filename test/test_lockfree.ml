@@ -16,15 +16,15 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let params ?(discipline = C.Nvtraverse) ?(threads = 2) ?(inserts = 16)
-    ?(seed = 7) ?(machine = M.Sc) ?(persistence = M.Psync) () =
+    ?(seed = 7) ?(machine = M.sc_config) () =
   { C.discipline;
     threads;
     inserts_per_thread = inserts;
     key_space = 2 * threads * inserts;
     seed;
     policy = M.Random seed;
-    machine;
-    persistence }
+    machine = machine.M.model;
+    persistence = machine.M.persistence }
 
 let analyze p mode =
   let cfg = P.Config.make ~record_graph:true mode in
@@ -40,8 +40,8 @@ let test_final_image_complete () =
   List.iter
     (fun discipline ->
       List.iter
-        (fun (threads, machine, persistence) ->
-          let p = params ~discipline ~threads ~machine ~persistence () in
+        (fun (threads, machine) ->
+          let p = params ~discipline ~threads ~machine () in
           let _, graph, result = analyze p P.Config.Epoch in
           let layout = result.C.layout in
           let image =
@@ -54,11 +54,11 @@ let test_final_image_complete () =
             Alcotest.(check (list int))
               (C.discipline_name discipline)
               expected r.R.keys)
-        [ (1, M.Sc, M.Psync);
-          (2, M.Sc, M.Psync);
-          (3, M.Sc, M.Psync);
-          (2, M.Tso, M.Psync);
-          (2, M.Tso, M.Pbuffered) ])
+        [ (1, M.sc_config);
+          (2, M.sc_config);
+          (3, M.sc_config);
+          (2, M.tso_sync_config);
+          (2, M.tso_buffered_config) ])
     [ C.Flush_all; C.Nvtraverse; C.Buggy_traverse ]
 
 (* The key schedule is a pure function of params: distinct keys in
@@ -82,25 +82,21 @@ let test_key_schedule () =
    persistence buffer. *)
 let test_nvtraverse_beats_flush_all () =
   List.iter
-    (fun (machine, persistence, label) ->
+    (fun (machine : M.config) ->
       List.iter
         (fun threads ->
           let cp_of discipline =
-            let p =
-              params ~discipline ~threads ~inserts:64 ~machine ~persistence ()
-            in
+            let p = params ~discipline ~threads ~inserts:64 ~machine () in
             let engine, _, _ = analyze p P.Config.Epoch in
             P.Engine.cp_per_label engine "insert"
           in
           let base = cp_of C.Flush_all and opt = cp_of C.Nvtraverse in
           if not (opt < base) then
             Alcotest.failf
-              "%s threads=%d: nvtraverse %.3f not below flush-all %.3f" label
-              threads opt base)
+              "%s threads=%d: nvtraverse %.3f not below flush-all %.3f"
+              machine.name threads opt base)
         [ 2; 3 ])
-    [ (M.Sc, M.Psync, "sc");
-      (M.Tso, M.Psync, "tso-sync");
-      (M.Tso, M.Pbuffered, "tso-buffered") ]
+    M.all_configs
 
 let strategy g = Recovery.auto ~samples:64 ~seed:1 g
 

@@ -438,6 +438,19 @@ let test_machine_two_phases () =
   M.run m;
   check Alcotest.int64 "phased runs" 2L (Memsim.Memory.load memory ~addr:a ~size:8)
 
+(* Every configuration is found under its own name, tso is the
+   tso-sync alias, and unknown names are rejected. *)
+let test_machine_config_names () =
+  List.iter
+    (fun (c : M.config) ->
+      checkb c.name true (M.config_of_name c.name = Some c))
+    M.all_configs;
+  Alcotest.(check (list string))
+    "matrix" [ "sc"; "tso-sync"; "tso-buffered" ]
+    (List.map (fun (c : M.config) -> c.name) M.all_configs);
+  checkb "tso alias" true (M.config_of_name "tso" = Some M.tso_sync_config);
+  checkb "unknown" true (M.config_of_name "all" = None)
+
 (* Trace *)
 
 let test_trace_serialization () =
@@ -496,7 +509,9 @@ let () =
           Alcotest.test_case "interleavings differ" `Quick
             test_machine_interleaving_differs;
           Alcotest.test_case "self" `Quick test_machine_self;
-          Alcotest.test_case "two phases" `Quick test_machine_two_phases ] );
+          Alcotest.test_case "two phases" `Quick test_machine_two_phases;
+          Alcotest.test_case "config names" `Quick test_machine_config_names
+        ] );
       ( "trace",
         [ Alcotest.test_case "serialization" `Quick test_trace_serialization ] )
     ]

@@ -302,6 +302,62 @@ let test_trace_json_balanced () =
     events;
   Alcotest.(check int) "spans balanced" 0 !depth
 
+(* Span tracing observes a run without changing it: a traced analyze
+   streams the same events into the engine as an untraced one, and the
+   whole fused run is one "drive" phase span closed with its event
+   count, with no separate generation or analysis phase. *)
+let test_traced_drive_is_the_run () =
+  let traced analyze =
+    Obs.Tracer.clear ();
+    Obs.Tracer.enable ();
+    Fun.protect ~finally:Obs.Tracer.clear (fun () ->
+        let m = analyze () in
+        match member "traceEvents" (parse (J.to_string (Obs.Tracer.to_json ())))
+        with
+        | J.List evs -> (m, evs)
+        | _ -> Alcotest.fail "traceEvents is not a list")
+  in
+  let check_spans what evs ~events =
+    let str name ev =
+      match member name ev with
+      | J.Str s -> s
+      | _ -> Alcotest.failf "event field %S not a string" name
+    in
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": one drive span")
+      [ ("B", "drive"); ("E", "drive") ]
+      (List.map (fun ev -> (str "ph" ev, str "name" ev)) evs);
+    match List.rev evs with
+    | closing :: _ ->
+      Alcotest.(check string)
+        (what ^ ": span carries the event count")
+        (string_of_int events)
+        (str "events" (member "args" closing))
+    | [] -> Alcotest.fail "no trace events"
+  in
+  (* the machine's event count, from a materialized trace *)
+  let trace_length run =
+    let t = Memsim.Trace.create () in
+    ignore (run ~sink:(Memsim.Trace.sink t));
+    Memsim.Trace.length t
+  in
+  let cfg = P.Config.make P.Config.Epoch in
+  let queue =
+    Experiments.Run.queue_params ~threads:2 ~total_inserts:64
+      Experiments.Run.epoch_point
+  in
+  let plain = Experiments.Run.analyze queue cfg in
+  let m, evs = traced (fun () -> Experiments.Run.analyze queue cfg) in
+  Alcotest.(check bool) "queue: traced metrics equal" true (m = plain);
+  check_spans "queue" evs ~events:(trace_length (Workloads.Queue.run queue));
+  let kv =
+    Experiments.Kv_exp.kv_params ~threads:2 ~total_ops:64 P.Config.Epoch
+  in
+  let plain = Experiments.Kv_exp.analyze kv cfg in
+  let m, evs = traced (fun () -> Experiments.Kv_exp.analyze kv cfg) in
+  Alcotest.(check bool) "kv: traced metrics equal" true (m = plain);
+  check_spans "kv" evs ~events:(trace_length (Kv.run kv))
+
 let test_trace_disabled_records_nothing () =
   Obs.Tracer.clear ();
   Obs.Tracer.with_span "ignored" (fun () -> ());
@@ -782,7 +838,25 @@ let test_exit_codes () =
   checke "explore buggy missed" 1
     "explore --workload kv --model strict --buggy --depth 2";
   (* unknown litmus test is a usage error *)
-  checke "litmus unknown" 2 "litmus --test no-such-test"
+  checke "litmus unknown" 2 "litmus --test no-such-test";
+  (* malformed flag values are rejected by the option parser (cmdliner's
+     exit 124) ... *)
+  checke "replay garbage" 124 "explore --replay garbage";
+  checke "replay bad index" 124
+    "lockfree --recovery --depth 1 --model sc --replay 5,x";
+  checke "zero threads" 124 "recovery --threads 0";
+  (* ... and parameters the library rejects are usage errors, never an
+     uncaught exception (exit 125) *)
+  checke "replay out of range" 2
+    "explore --workload kv --depth 1 --replay 99,99,99";
+  checke "kv threads do not divide ops" 2 "kv --recovery --threads 3";
+  checke "zero depth" 2 "explore --depth 0";
+  checke "threads do not divide inserts" 2 "analyze --threads 3 --inserts 10";
+  Alcotest.(check (list string))
+    "usage error is one stderr line"
+    [ "persistsim: Kv_exp.kv_params: total_ops must divide by threads" ]
+    (run_lines
+       (persistsim ^ " kv --recovery --threads 3 2>&1 >/dev/null || true"))
 
 let () =
   Alcotest.run "obs"
@@ -806,7 +880,9 @@ let () =
         [ Alcotest.test_case "balanced well-formed events" `Quick
             test_trace_json_balanced;
           Alcotest.test_case "disabled records nothing" `Quick
-            test_trace_disabled_records_nothing ] );
+            test_trace_disabled_records_nothing;
+          Alcotest.test_case "traced drive is the run" `Quick
+            test_traced_drive_is_the_run ] );
       ( "graph export",
         [ Alcotest.test_case "critical chain length" `Quick
             test_critical_chain_length;
