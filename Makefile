@@ -2,7 +2,7 @@
 # the parallel sweeps and the fuzzer; see README "Running the
 # evaluation in parallel".
 
-.PHONY: all build test bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus ci clean
+.PHONY: all build test bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus perfbench-smoke ci clean
 
 all: build
 
@@ -84,8 +84,16 @@ litmus: build
 	dune exec bin/persistsim.exe -- litmus --model all --dpor
 	dune exec bin/persistsim.exe -- machine --inserts 2000 > /dev/null
 
+# Benchmark smoke: every perfbench workload for 2 seconds, untraced.
+# perfbench/run.py exits non-zero when a pinned output check fails
+# (`correct: false`) or the benchmark cannot be built or run.
+perfbench-smoke: build
+	for w in sweep crash-check explore; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 > /dev/null || exit 1; \
+	done
+
 # What .github/workflows/ci.yml runs.
-ci: fmt-check build test smoke serve explore lockfree litmus
+ci: fmt-check build test smoke serve explore lockfree litmus perfbench-smoke
 
 clean:
 	dune clean

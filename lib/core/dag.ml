@@ -2,10 +2,14 @@ type t = {
   n : int;
   succ : Iset.t array;
   pred : Iset.t array;
+  indeg : int array;  (** [indeg.(v) = Iset.cardinal pred.(v)] *)
 }
 
 let create ~n =
-  { n; succ = Array.make n Iset.empty; pred = Array.make n Iset.empty }
+  { n;
+    succ = Array.make n Iset.empty;
+    pred = Array.make n Iset.empty;
+    indeg = Array.make n 0 }
 
 let node_count t = t.n
 
@@ -14,8 +18,11 @@ let check t v = if v < 0 || v >= t.n then invalid_arg "Dag: node out of range"
 let add_edge t u v =
   check t u;
   check t v;
-  t.succ.(u) <- Iset.add v t.succ.(u);
-  t.pred.(v) <- Iset.add u t.pred.(v)
+  if not (Iset.mem v t.succ.(u)) then begin
+    t.succ.(u) <- Iset.add v t.succ.(u);
+    t.pred.(v) <- Iset.add u t.pred.(v);
+    t.indeg.(v) <- t.indeg.(v) + 1
+  end
 
 let succs t u =
   check t u;
@@ -27,7 +34,7 @@ let preds t v =
 
 (* Kahn's algorithm; shared by [topo_sort] and [has_cycle]. *)
 let kahn t =
-  let indeg = Array.init t.n (fun v -> Iset.cardinal t.pred.(v)) in
+  let indeg = Array.copy t.indeg in
   let ready = Queue.create () in
   Array.iteri (fun v d -> if d = 0 then Queue.push v ready) indeg;
   let order = ref [] in
@@ -95,7 +102,7 @@ let random_down_closed ?size t rng =
     | Some k -> min k t.n
     | None -> Random.State.int rng (t.n + 1)
   in
-  let indeg = Array.init t.n (fun v -> Iset.cardinal t.pred.(v)) in
+  let indeg = Array.copy t.indeg in
   let ready = Memsim.Vec.create () in
   Array.iteri (fun v d -> if d = 0 then Memsim.Vec.push ready v) indeg;
   let taken = ref Iset.empty in
@@ -113,14 +120,43 @@ let random_down_closed ?size t rng =
   done;
   !taken
 
+(* Backtracking over the nodes from the highest id down, each tried
+   "out" before "in", pushing every set found on the front of the
+   result: the list holds the down-closed sets in descending order of
+   their bitmask (bit [v] for node [v]), the order of a scan over all
+   2^n masks.  A node may join only if no decided ancestor is out, and
+   stay out only if no decided descendant is in.  Checking against the
+   transitive closure rather than direct edges means every consistent
+   partial choice extends to a down-closed set (the down-closure of the
+   nodes chosen "in"), so no branch dead-ends: the walk costs
+   O(n log n) per set, whatever the id order. *)
 let all_down_closed t =
   if t.n > 24 then invalid_arg "Dag.all_down_closed: too many nodes";
-  let result = ref [] in
-  for mask = 0 to (1 lsl t.n) - 1 do
-    let set = ref Iset.empty in
-    for v = 0 to t.n - 1 do
-      if mask land (1 lsl v) <> 0 then set := Iset.add v !set
+  let mask_of mem =
+    let m = ref 0 in
+    for u = 0 to t.n - 1 do
+      if mem u then m := !m lor (1 lsl u)
     done;
-    if is_down_closed t !set then result := !set :: !result
-  done;
+    !m
+  in
+  let anc =
+    Array.init t.n (fun v ->
+        let a = ancestors t v in
+        mask_of (fun u -> Iset.mem u a))
+  in
+  let desc =
+    Array.init t.n (fun v -> mask_of (Array.get (reachable_from t v)))
+  in
+  let result = ref [] in
+  let rec decide v ~ins ~outs set =
+    if v < 0 then result := set :: !result
+    else begin
+      let bit = 1 lsl v in
+      if desc.(v) land ins = 0 then
+        decide (v - 1) ~ins ~outs:(outs lor bit) set;
+      if anc.(v) land outs = 0 then
+        decide (v - 1) ~ins:(ins lor bit) ~outs (Iset.add v set)
+    end
+  in
+  decide (t.n - 1) ~ins:0 ~outs:0 Iset.empty;
   !result

@@ -13,18 +13,33 @@
 
 val random_cut : ?size:int -> Persist_graph.t -> Random.State.t -> Iset.t
 (** A random legal crash state; every legal state has non-zero
-    probability.  [size] fixes the number of durable persists. *)
+    probability.  [size] fixes the number of durable persists.  Builds
+    the graph's {!Dag} on every call: to draw many cuts, build it once
+    with {!Persist_graph.to_dag} and call {!Dag.random_down_closed}. *)
 
 val all_cuts : Persist_graph.t -> Iset.t list
-(** Exhaustive enumeration of legal crash states (small graphs only).
+(** Exhaustive enumeration of legal crash states (small graphs only),
+    in the order of {!Dag.all_down_closed}.  Costs one DAG build and
+    its transitive closure, then O(node_count log node_count) per cut
+    returned: a 20-node chain has 21 cuts and is cheap, and only the
+    number of cuts grows exponentially, with the graph's width.
     @raise Invalid_argument above 24 nodes. *)
 
 val is_legal : Persist_graph.t -> Iset.t -> bool
+(** [is_legal g cut]: every id of [cut] is a node of [g], and [cut] is
+    closed under both the [deps] and the order-only edges of its
+    members, i.e. a crash state the observer may see.  Costs
+    O(node_count + edges into the cut); no DAG is built. *)
 
 val image_of_cut : Persist_graph.t -> Iset.t -> capacity:int -> bytes
 (** Persistent memory image after a crash in state [cut]: zeros
     overwritten by the writes of the cut's nodes in node-id order.
-    @raise Invalid_argument if [cut] is not down-closed. *)
+    Costs the {!is_legal} check plus the cut's writes and the
+    [capacity]-byte image; nodes outside the cut are not visited.
+    @raise Invalid_argument ["Observer.image_of_cut: node <id> is not
+    in the graph ..."] if [cut] holds an id outside
+    [0 .. node_count-1], and ["Observer.image_of_cut: cut is not
+    down-closed"] if it is not a legal crash state. *)
 
 val final_image : Persist_graph.t -> capacity:int -> bytes
 (** Image when every persist completed. *)

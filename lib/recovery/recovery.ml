@@ -7,6 +7,11 @@ let m_dup_cuts = Om.counter Om.default "recovery.duplicate_cuts"
 let m_violations = Om.counter Om.default "recovery.violations"
 let m_inject_rate = Om.gauge_max Om.default "recovery.injections_per_sec"
 
+(* Sampled-cut dedupe keyed on the set itself: a [Hashtbl] keyed on
+   [Iset.elements] hashes only a list's first few elements, so cuts
+   sharing their smallest ids would all collide. *)
+module Cut_set = Set.Make (P.Iset)
+
 let prefix_buckets = Om.pow2_buckets 13
 
 let m_prefix_size =
@@ -97,25 +102,21 @@ let check_cuts ~graph ~capacity ~strategy observer =
          [report.prefixes] overstate distinct crash-state coverage. *)
       let rng = Random.State.make [| seed |] in
       let dag = P.Persist_graph.to_dag graph in
-      let seen = Hashtbl.create 64 in
-      let rec loop i =
+      let rec loop i seen =
         if i >= samples then Ok ()
         else begin
           let cut = P.Dag.random_down_closed dag rng in
-          let key = P.Iset.elements cut in
-          if Hashtbl.mem seen key then begin
+          if Cut_set.mem cut seen then begin
             Om.incr m_dup_cuts;
-            loop (i + 1)
+            loop (i + 1) seen
           end
-          else begin
-            Hashtbl.add seen key ();
+          else
             match try_prefix cut with
-            | Ok () -> loop (i + 1)
+            | Ok () -> loop (i + 1) (Cut_set.add cut seen)
             | Error _ as e -> e
-          end
         end
       in
-      loop 0
+      loop 0 Cut_set.empty
   in
   (match span with
   | Some s ->

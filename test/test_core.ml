@@ -456,6 +456,20 @@ let test_observer_illegal_cut () =
     (fun () ->
       ignore (P.Observer.image_of_cut g (P.Iset.singleton 1) ~capacity:32))
 
+let test_observer_out_of_range_cut () =
+  let _, g = graph_of epoch [ st 8; pb 0; st 16 ] in
+  let raises name cut msg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (P.Observer.image_of_cut g cut ~capacity:32))
+  in
+  raises "negative id"
+    (P.Iset.of_list [ -1; 0 ])
+    "Observer.image_of_cut: node -1 is not in the graph (2 nodes)";
+  raises "id past the end"
+    (P.Iset.of_list [ 0; 1; 2 ])
+    "Observer.image_of_cut: node 2 is not in the graph (2 nodes)";
+  checkb "not legal" false (P.Observer.is_legal g (P.Iset.singleton 2))
+
 let test_observer_invariant_checker () =
   let _, g = graph_of epoch [ st ~value:7L 8; pb 0; st ~value:1L 16 ] in
   (* invariant: flag at 16 implies payload at 8 *)
@@ -565,6 +579,253 @@ let observer_cut_property =
         List.for_all
           (fun _ -> P.Dag.is_down_closed dag (P.Observer.random_cut g rng))
           (List.init 10 Fun.id))
+
+(* Crash states against reference copies of the code they replaced:
+   the 2^n mask scan, in-degrees recounted per sample, legality through
+   the whole-graph DAG, and the image as a filtered walk over every
+   node.  Cuts, their order, rng streams and images must all match. *)
+module Ref = struct
+  let down_closed g set =
+    P.Iset.for_all
+      (fun v -> List.for_all (fun u -> P.Iset.mem u set) (P.Dag.preds g v))
+      set
+
+  let all_down_closed g =
+    let n = P.Dag.node_count g in
+    let result = ref [] in
+    for mask = 0 to (1 lsl n) - 1 do
+      let set = ref P.Iset.empty in
+      for v = 0 to n - 1 do
+        if mask land (1 lsl v) <> 0 then set := P.Iset.add v !set
+      done;
+      if down_closed g !set then result := !set :: !result
+    done;
+    !result
+
+  let random_down_closed ?size g rng =
+    let n = P.Dag.node_count g in
+    let target =
+      match size with
+      | Some k -> min k n
+      | None -> Random.State.int rng (n + 1)
+    in
+    let indeg = Array.init n (fun v -> List.length (P.Dag.preds g v)) in
+    let ready = Memsim.Vec.create () in
+    Array.iteri (fun v d -> if d = 0 then Memsim.Vec.push ready v) indeg;
+    let taken = ref P.Iset.empty in
+    let count = ref 0 in
+    while !count < target && not (Memsim.Vec.is_empty ready) do
+      let i = Random.State.int rng (Memsim.Vec.length ready) in
+      let v = Memsim.Vec.swap_remove ready i in
+      taken := P.Iset.add v !taken;
+      incr count;
+      List.iter
+        (fun w ->
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then Memsim.Vec.push ready w)
+        (P.Dag.succs g v)
+    done;
+    !taken
+
+  let is_legal g cut = P.Dag.is_down_closed (P.Persist_graph.to_dag g) cut
+
+  let apply_write image (w : P.Persist_graph.write) =
+    if w.addr + w.size <= Bytes.length image then
+      match w.size with
+      | 8 -> Bytes.set_int64_le image w.addr w.value
+      | 4 -> Bytes.set_int32_le image w.addr (Int64.to_int32 w.value)
+      | 2 -> Bytes.set_uint16_le image w.addr (Int64.to_int w.value land 0xffff)
+      | 1 -> Bytes.set_uint8 image w.addr (Int64.to_int w.value land 0xff)
+      | _ -> invalid_arg "bad write size"
+
+  let image_of_cut g cut ~capacity =
+    let image = Bytes.make capacity '\000' in
+    P.Persist_graph.iter
+      (fun n ->
+        if P.Iset.mem n.P.Persist_graph.id cut then
+          Memsim.Vec.iter (apply_write image) n.P.Persist_graph.writes)
+      g;
+    image
+end
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
+(* A random DAG whose ids are a random permutation of a topological
+   order, with some edges added twice; [cyclic] adds back edges too. *)
+let random_dag ?(cyclic = false) rng ~n =
+  let perm = Array.init n Fun.id in
+  shuffle rng perm;
+  let density = Random.State.float rng 0.6 in
+  let g = P.Dag.create ~n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if (i < j || (cyclic && i <> j && Random.State.int rng 8 = 0))
+         && Random.State.float rng 1.0 < density
+      then begin
+        P.Dag.add_edge g perm.(i) perm.(j);
+        if Random.State.bool rng then P.Dag.add_edge g perm.(i) perm.(j)
+      end
+    done
+  done;
+  g
+
+let random_set rng n =
+  let s = ref P.Iset.empty in
+  for v = 0 to n - 1 do
+    if Random.State.bool rng then s := P.Iset.add v !s
+  done;
+  !s
+
+let check_cut_lists name expected got =
+  checki (name ^ ": count") (List.length expected) (List.length got);
+  checkb (name ^ ": same cuts, same order") true
+    (List.equal P.Iset.equal expected got)
+
+let test_all_down_closed_matches_scan () =
+  let rng = Random.State.make [| 13 |] in
+  for i = 1 to 600 do
+    let n = Random.State.int rng 13 in
+    let g = random_dag ~cyclic:(i mod 5 = 0) rng ~n in
+    check_cut_lists
+      (Printf.sprintf "graph %d (%d nodes)" i n)
+      (Ref.all_down_closed g) (P.Dag.all_down_closed g)
+  done;
+  let chain = P.Dag.create ~n:20 in
+  for v = 1 to 19 do
+    P.Dag.add_edge chain (v - 1) v
+  done;
+  checki "20-node chain" 21 (List.length (P.Dag.all_down_closed chain))
+
+(* The persist graph of one run of a litmus program, recorded with the
+   engine configuration [Litmus.check] uses for that machine. *)
+let litmus_graph (t : Litmus.test) (config : Litmus.mconfig) policy =
+  let module M = Memsim.Machine in
+  let memory = Memsim.Memory.create ~persistent_capacity:1024 () in
+  let machine =
+    M.create ~policy ~model:config.M.model ~persistence:config.M.persistence
+      ~memory ()
+  in
+  let engine =
+    P.Engine.create
+      (match config.M.persistence with
+      | M.Psync -> Litmus.default_cfg
+      | M.Pbuffered -> Litmus.buffered_cfg)
+  in
+  M.set_sink machine (P.Engine.observe engine);
+  let addrs =
+    List.map
+      (fun v -> (v, Memsim.Memory.alloc memory Memsim.Addr.Persistent 8))
+      t.Litmus.vars
+  in
+  let vaddr v = List.assoc v addrs in
+  let regs = Hashtbl.create 8 in
+  List.iteri
+    (fun tid instrs ->
+      ignore (M.spawn machine (Litmus.exec_thread regs vaddr tid instrs)))
+    t.Litmus.threads;
+  M.run machine;
+  Option.get (P.Engine.graph engine)
+
+let litmus_graphs () =
+  List.concat_map
+    (fun (t : Litmus.test) ->
+      List.concat_map
+        (fun config ->
+          List.map
+            (fun policy -> (t.Litmus.name, litmus_graph t config policy))
+            Memsim.Machine.[ Round_robin; Random 1; Random 2; Random 3 ])
+        Litmus.all_configs)
+    Litmus.suite
+
+let test_litmus_cuts_match_scan () =
+  List.iter
+    (fun (name, g) ->
+      check_cut_lists name
+        (Ref.all_down_closed (P.Persist_graph.to_dag g))
+        (P.Observer.all_cuts g);
+      List.iter
+        (fun cut ->
+          checkb (name ^ ": image") true
+            (Bytes.equal
+               (Ref.image_of_cut g cut ~capacity:64)
+               (P.Observer.image_of_cut g cut ~capacity:64)))
+        (P.Observer.all_cuts g))
+    (litmus_graphs ())
+
+let test_random_down_closed_same_stream () =
+  let rng = Random.State.make [| 17 |] in
+  for i = 1 to 300 do
+    let g = random_dag ~cyclic:(i mod 7 = 0) rng ~n:(Random.State.int rng 40) in
+    let seed = Random.State.bits rng in
+    let a = Random.State.make [| seed |] and b = Random.State.make [| seed |] in
+    for k = 1 to 20 do
+      let size = if k mod 4 = 0 then Some (Random.State.int rng 45) else None in
+      checkb
+        (Printf.sprintf "graph %d sample %d" i k)
+        true
+        (P.Iset.equal
+           (Ref.random_down_closed ?size g a)
+           (P.Dag.random_down_closed ?size g b))
+    done;
+    checki "streams in step" (Random.State.bits a) (Random.State.bits b)
+  done
+
+(* A persist graph built directly: fresh nodes depend on earlier ones,
+   then coalescing merges later dependences into earlier nodes, so ids
+   stop being a topological order (and may form cycles). *)
+let random_persist_graph rng ~n =
+  let g = P.Persist_graph.create () in
+  let subset bound p =
+    let s = ref P.Iset.empty in
+    for v = 0 to bound - 1 do
+      if Random.State.float rng 1.0 < p then s := P.Iset.add v !s
+    done;
+    !s
+  in
+  let write () =
+    { P.Persist_graph.addr = 4 * Random.State.int rng 16;
+      size = List.nth [ 1; 2; 4; 8 ] (Random.State.int rng 4);
+      value = Random.State.int64 rng Int64.max_int }
+  in
+  for id = 0 to n - 1 do
+    ignore
+      (P.Persist_graph.add_node g ~tid:0 ~level:0 ~deps:(subset id 0.2)
+         ~order:(subset id 0.05) (write ()))
+  done;
+  if n > 0 then
+    for _ = 1 to Random.State.int rng 4 do
+      P.Persist_graph.coalesce_into g (Random.State.int rng n)
+        ~deps:(subset n 0.05) ~order:(subset n 0.02) (write ())
+    done;
+  g
+
+let test_observer_matches_reference () =
+  let rng = Random.State.make [| 19 |] in
+  for i = 1 to 400 do
+    let n = Random.State.int rng 30 in
+    let g = random_persist_graph rng ~n in
+    let dag = P.Persist_graph.to_dag g in
+    for k = 1 to 10 do
+      let closed = P.Dag.down_closure dag (random_set rng n) in
+      let arbitrary = random_set rng n in
+      let name = Printf.sprintf "graph %d set %d" i k in
+      checkb (name ^ ": closed set legal") (Ref.is_legal g closed)
+        (P.Observer.is_legal g closed);
+      checkb (name ^ ": arbitrary set") (Ref.is_legal g arbitrary)
+        (P.Observer.is_legal g arbitrary);
+      let capacity = 48 + Random.State.int rng 24 in
+      checkb (name ^ ": image") true
+        (Bytes.equal
+           (Ref.image_of_cut g closed ~capacity)
+           (P.Observer.image_of_cut g closed ~capacity))
+    done
+  done
 
 let engine_determinism_property =
   QCheck.Test.make ~count:60 ~name:"engine is deterministic" arbitrary_trace
@@ -679,8 +940,19 @@ let () =
         [ Alcotest.test_case "cut count" `Quick test_observer_cut_count;
           Alcotest.test_case "images" `Quick test_observer_image;
           Alcotest.test_case "illegal cut" `Quick test_observer_illegal_cut;
+          Alcotest.test_case "out-of-range cut" `Quick
+            test_observer_out_of_range_cut;
           Alcotest.test_case "invariant checker" `Quick
             test_observer_invariant_checker ] );
+      ( "crash-state-reference",
+        [ Alcotest.test_case "all_down_closed = mask scan" `Quick
+            test_all_down_closed_matches_scan;
+          Alcotest.test_case "litmus cuts = mask scan" `Quick
+            test_litmus_cuts_match_scan;
+          Alcotest.test_case "random_down_closed stream" `Quick
+            test_random_down_closed_same_stream;
+          Alcotest.test_case "is_legal and images" `Quick
+            test_observer_matches_reference ] );
       ( "oracle",
         Alcotest.test_case "hand traces" `Quick test_oracle_verifies_hand_traces
         :: qcheck_oracle_tests
