@@ -2,7 +2,7 @@
 # the parallel sweeps and the fuzzer; see README "Running the
 # evaluation in parallel".
 
-.PHONY: all build test bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus perfbench-smoke ci clean
+.PHONY: all build test bench bench-quick bench-json fuzz fmt-check smoke examples serve explore lockfree litmus perfbench-smoke ci clean
 
 all: build
 
@@ -51,6 +51,17 @@ smoke: build
 	dune exec bin/persistsim.exe -- perf BENCH_PR10.json > /dev/null
 	dune exec bin/persistsim.exe -- perf BENCH_PR9.json BENCH_PR10.json --report-only > /dev/null
 
+# Run every example program: each must exit 0 and print no
+# RECOVERY VIOLATION line.
+EXAMPLES = quickstart wal_database kvstore figure1_cycle queue_dependences bank_transfer
+examples: build
+	for e in $(EXAMPLES); do \
+	  out=$$(dune exec examples/$$e.exe) || { echo "$$e: exit $$?"; exit 1; }; \
+	  if echo "$$out" | grep -q "RECOVERY VIOLATION"; then \
+	    echo "$$out"; echo "$$e: recovery violation"; exit 1; \
+	  fi; \
+	done
+
 # Served KV smoke: a small sweep (the amortization table), group-commit
 # recovery injection, and the buggy batcher must be caught.
 serve: build
@@ -93,7 +104,7 @@ perfbench-smoke: build
 	done
 
 # What .github/workflows/ci.yml runs.
-ci: fmt-check build test smoke serve explore lockfree litmus perfbench-smoke
+ci: fmt-check build test smoke examples serve explore lockfree litmus perfbench-smoke
 
 clean:
 	dune clean

@@ -247,18 +247,14 @@ let bench_recovery_sampling =
     Experiments.Run.analyze_with_graph params
       (Persistency.Config.make Persistency.Config.Epoch)
   in
-  let capacity =
-    layout.Workloads.Queue.data_addr + layout.Workloads.Queue.data_bytes
-  in
   Test.make ~name:"observer:recovery-sampling"
     (Staged.stage (fun () ->
          match
-           Persistency.Observer.check_cut_invariant graph
-             (Workloads.Queue_recovery.checker ~params ~layout)
-             ~capacity ~samples:20 ~seed:1
+           Workloads.Queue_recovery.verify ~params ~layout ~graph
+             ~strategy:(Recovery.Sampled { samples = 20; seed = 1 })
          with
-         | Ok () -> ()
-         | Error msg -> failwith msg))
+         | Ok _ -> ()
+         | Error f -> failwith (Recovery.render_failure f)))
 
 let bench_kv_store =
   Test.make ~name:"workload:kv-store"

@@ -110,6 +110,15 @@ let analyze trace =
   P.Engine.observe_trace engine trace;
   (engine, Option.get (P.Engine.graph engine))
 
+(* 400 seeded crash states of [graph]; the first one [check] rejects,
+   rendered with its cut size. *)
+let sampled_check graph check ~capacity =
+  Recovery.check_cuts ~graph ~capacity
+    ~strategy:(Recovery.Sampled { samples = 400; seed = 31 })
+    (fun ~cut:_ image -> check image)
+  |> Result.map ignore
+  |> Result.map_error Recovery.render_failure
+
 let () =
   (* transactional run *)
   let mgr, trace, table = with_txns () in
@@ -130,9 +139,7 @@ let () =
         (Printf.sprintf "balance corrupted: %Ld (expected %Ld)" total
            total_expected)
   in
-  (match
-     P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:31
-   with
+  (match sampled_check graph check ~capacity with
   | Ok () ->
     print_endline
       "  recovery: total balance conserved in every sampled crash state"
@@ -148,11 +155,7 @@ let () =
         (Printf.sprintf "balance corrupted: %Ld (expected %Ld)" total
            total_expected)
   in
-  match
-    P.Observer.check_cut_invariant graph2 check2
-      ~capacity:(table2 + (8 * accounts))
-      ~samples:400 ~seed:31
-  with
+  match sampled_check graph2 check2 ~capacity:(table2 + (8 * accounts)) with
   | Ok () ->
     print_endline
       "direct writes: (unexpectedly survived — try more samples)"

@@ -98,9 +98,11 @@ let check_recovery table written graph =
     go 0
   in
   let result =
-    P.Observer.check_cut_invariant graph check ~capacity ~samples:300 ~seed:17
+    Recovery.check_cuts ~graph ~capacity
+      ~strategy:(Recovery.Sampled { samples = 300; seed = 17 })
+      (fun ~cut:_ image -> check image)
   in
-  (result, !torn, !total)
+  (Result.map_error Recovery.render_failure result, !torn, !total)
 
 let () =
   List.iter
@@ -120,7 +122,7 @@ let () =
             (P.Engine.critical_path engine)
             (P.Engine.cp_per_label engine "update");
           match check_recovery table written graph with
-          | Ok (), torn, total ->
+          | Ok _, torn, total ->
             Printf.printf
               "        recovery: no lying checksum in %d crash states (%d torn slots detected & discarded)\n"
               total torn

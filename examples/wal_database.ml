@@ -133,7 +133,10 @@ let check_recovery db graph =
       pages_ok 0
     end
   in
-  P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:9
+  Recovery.check_cuts ~graph ~capacity
+    ~strategy:(Recovery.Sampled { samples = 400; seed = 9 })
+    (fun ~cut:_ image -> check image)
+  |> Result.map_error Recovery.render_failure
 
 let () =
   List.iter
@@ -151,7 +154,7 @@ let () =
         (P.Engine.cp_per_label engine "txn")
         (P.Engine.persist_ops engine);
       match check_recovery db graph with
-      | Ok () ->
+      | Ok _ ->
         print_endline "        recovery: log replay consistent in every sampled crash state"
       | Error msg -> Printf.printf "        RECOVERY VIOLATION: %s\n" msg)
     [ P.Config.Epoch; P.Config.Strand ]

@@ -50,7 +50,6 @@ type klass =
   | Excluded  (** no persist durable (or no persists at all) *)
 
 val classify : cut:Persistency.Iset.t -> op -> klass
-val klass_name : klass -> string
 
 val rt_before : op -> op -> bool
 (** [rt_before a b]: [a] returned before [b] was invoked. *)

@@ -88,12 +88,16 @@ let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
    over the family's structural invariant: the invariant runs first
    (its failure messages are the pinned, replayable ones), then the
    recovered abstract state is checked against the operations the cut
-   classifies as fully / partially / not durable. *)
-let instrumented_run run cfg =
+   classifies as fully / partially / not durable.  The engine's Px86
+   durability follows the machine's persistence mode, so a buffered
+   machine's [Pdrain]s are what make its flushes durable. *)
+let instrumented_run ~persistence run cfg =
   let hist = Dlin.History.create () in
   let engine, result =
     Ps.Engine.drive ~tee:(Dlin.History.sink hist)
-      { cfg with Ps.Config.record_graph = true }
+      { cfg with
+        Ps.Config.record_graph = true;
+        px86 = Ps.Config.px86_of_persistence persistence }
       run
   in
   let ops effect_of =
@@ -106,21 +110,19 @@ let instrumented_run run cfg =
 let queue_instance params cfg policy =
   let params = { params with Workloads.Queue.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Workloads.Queue.run params ~sink) cfg
+    instrumented_run ~persistence:params.Workloads.Queue.persistence
+      (fun ~sink -> Workloads.Queue.run params ~sink)
+      cfg
   in
   let layout = result.Workloads.Queue.layout in
   let ops =
     history (fun ~tid ~index ~label:_ -> Dlin.Enq { etid = tid; eseq = index })
   in
   let observer ~cut image =
-    match Workloads.Queue_recovery.check ~params ~layout image with
+    match Workloads.Queue_recovery.recover ~params ~layout image with
     | Error _ as e -> e
-    | Ok () -> (
-      match Workloads.Queue_recovery.recover ~params ~layout image with
-      | Error _ as e -> e
-      | Ok r ->
-        Dlin.check_fifo ~ops ~cut
-          ~recovered:r.Workloads.Queue_recovery.entries)
+    | Ok r ->
+      Dlin.check_fifo ~ops ~cut ~recovered:r.Workloads.Queue_recovery.entries
   in
   { graph;
     capacity = Workloads.Queue_recovery.image_capacity layout;
@@ -129,7 +131,9 @@ let queue_instance params cfg policy =
 let kv_instance params cfg policy =
   let params = { params with Kv.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Kv.run params ~sink) cfg
+    instrumented_run ~persistence:params.Kv.persistence
+      (fun ~sink -> Kv.run params ~sink)
+      cfg
   in
   let layout = result.Kv.layout in
   let ops =
@@ -139,19 +143,18 @@ let kv_instance params cfg policy =
         | Kv.Get _ -> Dlin.Read)
   in
   let observer ~cut image =
-    match Kv_recovery.check ~params ~layout image with
+    match Kv_recovery.recover ~params ~layout image with
     | Error _ as e -> e
-    | Ok () -> (
-      match Kv_recovery.recover ~params ~layout image with
-      | Error _ as e -> e
-      | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings)
+    | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings
   in
   { graph; capacity = Kv_recovery.image_capacity layout; observer }
 
 let lockfree_instance params cfg policy =
   let params = { params with Lockfree.Cas_set.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Lockfree.Cas_set.run params ~sink) cfg
+    instrumented_run ~persistence:params.Lockfree.Cas_set.persistence
+      (fun ~sink -> Lockfree.Cas_set.run params ~sink)
+      cfg
   in
   let layout = result.Lockfree.Cas_set.layout in
   let keys = result.Lockfree.Cas_set.keys in

@@ -55,9 +55,11 @@ val queue_instance :
   Memsim.Machine.policy ->
   instance
 (** Run the persistent queue workload once under [policy] (the params'
-    own policy is ignored), with graph recording forced on, and package
-    the run for {!check}.  Partially applied to params and config, this
-    is the [run] argument. *)
+    own policy is ignored), with graph recording forced on and the
+    config's [px86] taken from the params' machine persistence
+    ({!Persistency.Config.px86_of_persistence}), and package the run
+    for {!check}.  Partially applied to params and config, this is the
+    [run] argument. *)
 
 val kv_instance :
   Kv.params -> Persistency.Config.t -> Memsim.Machine.policy -> instance

@@ -38,7 +38,7 @@ type consistency =
 
 (** Px86 persist semantics of flushed lines (only meaningful for
     traces produced by a machine with the matching
-    {!Memsim.Machine.persistence}). *)
+    {!Memsim.Machine.persistence}; see {!px86_of_persistence}). *)
 type px86 =
   | Px86_sync
       (** a flushed line is durable once ordered by a fence: the
@@ -78,11 +78,13 @@ val mode_of_name : string -> mode option
 val all_modes : mode list
 
 val consistency_name : consistency -> string
-val consistency_of_name : string -> consistency option
-val all_consistencies : consistency list
 
-val px86_name : px86 -> string
-val px86_of_name : string -> px86 option
+val px86_of_persistence : Memsim.Machine.persistence -> px86
+(** The Px86 durability that matches a machine's persistence mode:
+    [Psync] gives [Px86_sync], [Pbuffered] gives [Px86_buffered].  Every
+    run that records a persist graph from a machine trace configures
+    the engine with this, so flushes on a buffered machine become
+    durable at their [Pdrain] events. *)
 
 val make :
   ?consistency:consistency ->

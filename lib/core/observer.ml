@@ -1,5 +1,3 @@
-let random_cut ?size g rng = Dag.random_down_closed ?size (Persist_graph.to_dag g) rng
-
 let all_cuts g = Dag.all_down_closed (Persist_graph.to_dag g)
 
 (* An id of [cut] outside the graph's [0 .. node_count-1], if any: its
@@ -62,20 +60,3 @@ let final_image g ~capacity =
     (fun n -> Memsim.Vec.iter (apply_write image) n.Persist_graph.writes)
     g;
   image
-
-let check_cut_invariant g check ~capacity ~samples ~seed =
-  let rng = Random.State.make [| seed |] in
-  let dag = Persist_graph.to_dag g in
-  let rec loop i =
-    if i >= samples then Ok ()
-    else
-      let cut = Dag.random_down_closed dag rng in
-      let image = image_of_cut g cut ~capacity in
-      match check image with
-      | Ok () -> loop (i + 1)
-      | Error msg ->
-        Error
-          (Printf.sprintf "crash state with %d/%d persists durable: %s"
-             (Iset.cardinal cut) (Persist_graph.node_count g) msg)
-  in
-  loop 0

@@ -9,13 +9,10 @@
     Applying a cut's writes in node-id order (consistent with SC store
     order, hence with strong persist atomicity) to an initially zeroed
     persistent image produces the post-crash memory a recovery
-    procedure would see. *)
-
-val random_cut : ?size:int -> Persist_graph.t -> Random.State.t -> Iset.t
-(** A random legal crash state; every legal state has non-zero
-    probability.  [size] fixes the number of durable persists.  Builds
-    the graph's {!Dag} on every call: to draw many cuts, build it once
-    with {!Persist_graph.to_dag} and call {!Dag.random_down_closed}. *)
+    procedure would see.  Checking a recovery procedure against sampled
+    or enumerated crash states is [Recovery.check_cuts]; to draw cuts
+    directly, build the {!Dag} once with {!Persist_graph.to_dag} and
+    call {!Dag.random_down_closed}. *)
 
 val all_cuts : Persist_graph.t -> Iset.t list
 (** Exhaustive enumeration of legal crash states (small graphs only),
@@ -43,9 +40,3 @@ val image_of_cut : Persist_graph.t -> Iset.t -> capacity:int -> bytes
 
 val final_image : Persist_graph.t -> capacity:int -> bytes
 (** Image when every persist completed. *)
-
-val check_cut_invariant :
-  Persist_graph.t -> (bytes -> (unit, string) result) -> capacity:int ->
-  samples:int -> seed:int -> (unit, string) result
-(** Run a recovery-invariant checker against [samples] random crash
-    states; returns the first failure, annotated with the cut size. *)

@@ -33,7 +33,9 @@ let analyze params cfg =
 let analyze_with_graph params cfg =
   let engine, result =
     Persistency.Engine.drive
-      { cfg with Persistency.Config.record_graph = true }
+      { cfg with
+        Persistency.Config.record_graph = true;
+        px86 = Persistency.Config.px86_of_persistence params.Kv.persistence }
       (Kv.run params)
   in
   ( metrics_of engine result,

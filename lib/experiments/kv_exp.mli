@@ -28,7 +28,8 @@ val analyze_with_graph :
   Kv.params ->
   Persistency.Config.t ->
   metrics * Persistency.Persist_graph.t * Kv.layout
-(** Same, with [record_graph] forced on — use small runs. *)
+(** Same, with [record_graph] forced on and [px86] taken from the
+    params' machine persistence — use small runs. *)
 
 val kv_params :
   ?threads:int ->

@@ -28,7 +28,11 @@ let analyze params cfg =
 let analyze_with_graph params cfg =
   let engine, result =
     Persistency.Engine.drive
-      { cfg with Persistency.Config.record_graph = true }
+      { cfg with
+        Persistency.Config.record_graph = true;
+        px86 =
+          Persistency.Config.px86_of_persistence
+            params.Workloads.Queue.persistence }
       (Workloads.Queue.run params)
   in
   ( metrics_of engine result,

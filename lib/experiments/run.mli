@@ -19,7 +19,8 @@ val analyze_with_graph :
   Workloads.Queue.params ->
   Persistency.Config.t ->
   metrics * Persistency.Persist_graph.t * Workloads.Queue.layout
-(** Same, with [record_graph] forced on — use small runs. *)
+(** Same, with [record_graph] forced on and [px86] taken from the
+    params' machine persistence — use small runs. *)
 
 (** A "model point" of the evaluation: a persistency model together
     with the queue annotation the paper pairs it with. *)

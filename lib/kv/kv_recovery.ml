@@ -152,23 +152,16 @@ let recover ~(params : Kv.params) ~(layout : Kv.layout) image =
     Ok { bindings = sorted; sealed; rolled_back = !rolled_back }
   with Bad msg -> Error msg
 
-let check ~params ~layout image =
-  match recover ~params ~layout image with
-  | Ok _ -> Ok ()
-  | Error msg -> Error msg
-
-let checker ~params ~layout = fun image -> check ~params ~layout image
-
 let image_capacity (layout : Kv.layout) =
   max
     (layout.table_addr + layout.table_bytes)
     (layout.log_addr + layout.log_bytes)
 
 let verify ~params ~layout ~graph ~strategy =
-  Recovery.check ~graph
+  Recovery.check_cuts ~graph
     ~capacity:(image_capacity layout)
     ~strategy
-    (checker ~params ~layout)
+    (fun ~cut:_ image -> Result.map ignore (recover ~params ~layout image))
 
 (* ------------------------------------------------------------------ *)
 (* Group commit (Kv_group)
@@ -375,14 +368,6 @@ let recover_group ~(layout : Kv_group.layout) ~batches image =
     Ok { g_bindings = sorted; g_committed = marker; g_rolled_back = !rolled }
   with Bad msg -> Error msg
 
-let check_group ~layout ~batches image =
-  match recover_group ~layout ~batches image with
-  | Ok _ -> Ok ()
-  | Error msg -> Error msg
-
-let group_checker ~layout ~batches =
- fun image -> check_group ~layout ~batches image
-
 let group_image_capacity (layout : Kv_group.layout) =
   max
     (max
@@ -391,7 +376,8 @@ let group_image_capacity (layout : Kv_group.layout) =
     (layout.marker_addr + 8)
 
 let verify_group ~layout ~batches ~graph ~strategy =
-  Recovery.check ~graph
+  Recovery.check_cuts ~graph
     ~capacity:(group_image_capacity layout)
     ~strategy
-    (group_checker ~layout ~batches)
+    (fun ~cut:_ image ->
+      Result.map ignore (recover_group ~layout ~batches image))

@@ -2,7 +2,7 @@
 
     Given a post-crash persistent memory image (from
     {!Persistency.Observer} via {!Recovery}), [recover] replays the
-    store's recovery rule and [check] validates the result:
+    store's recovery rule and validates the result:
 
     - every undo-log record is either unsealed (ignored) or sealed with
       intact, legal fields: the slot index belongs to the group its
@@ -38,12 +38,6 @@ type recovered = {
 val recover :
   params:Kv.params -> layout:Kv.layout -> bytes -> (recovered, string) result
 
-val check :
-  params:Kv.params -> layout:Kv.layout -> bytes -> (unit, string) result
-
-val checker : params:Kv.params -> layout:Kv.layout -> Recovery.observer
-(** [check] partially applied, shaped for {!Recovery.check}. *)
-
 val image_capacity : Kv.layout -> int
 (** Bytes of persistent address space the image must cover. *)
 
@@ -53,8 +47,8 @@ val verify :
   graph:Persistency.Persist_graph.t ->
   strategy:Recovery.strategy ->
   (Recovery.report, Recovery.failure) result
-(** Failure-inject this run: {!Recovery.check} with {!checker} as the
-    observer. *)
+(** Failure-inject this run: {!Recovery.check_cuts} with {!recover}
+    as the observer. *)
 
 (** {1 Group commit}
 
@@ -87,17 +81,6 @@ val recover_group :
   (group_recovered, string) result
 (** [batches] is the shard's committed put-batch schedule in commit
     order ({!Kv_group.batches}); the image is not mutated. *)
-
-val check_group :
-  layout:Kv_group.layout ->
-  batches:Kv_group.put list list ->
-  bytes ->
-  (unit, string) result
-
-val group_checker :
-  layout:Kv_group.layout ->
-  batches:Kv_group.put list list ->
-  Recovery.observer
 
 val group_image_capacity : Kv_group.layout -> int
 

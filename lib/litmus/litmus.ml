@@ -113,14 +113,9 @@ let config_name c = c.M.name
 let default_cfg =
   P.Config.make ~coalescing:false ~record_graph:true P.Config.Epoch
 
-let buffered_cfg =
-  P.Config.make ~coalescing:false ~record_graph:true
-    ~px86:P.Config.Px86_buffered P.Config.Epoch
-
 let engine_cfg c =
-  match c.M.persistence with
-  | M.Psync -> default_cfg
-  | M.Pbuffered -> buffered_cfg
+  { default_cfg with
+    P.Config.px86 = P.Config.px86_of_persistence c.M.persistence }
 
 let exec_thread regs vaddr tid instrs () =
   List.iter
@@ -215,7 +210,6 @@ let run_one ?cfg ?(verify = false) ~config t policy =
 type method_ = Brute | Dpor
 
 let method_name = function Brute -> "brute" | Dpor -> "dpor"
-let model_name = function M.Sc -> "sc" | M.Tso -> "tso"
 
 let expect_for t c =
   match c.M.model, c.M.persistence with

@@ -118,9 +118,10 @@ val default_cfg : Persistency.Config.t
     on — the engine configuration used to judge persisted values under
     synchronous Px86. *)
 
-val buffered_cfg : Persistency.Config.t
-(** [default_cfg] with [px86 = Px86_buffered] — paired with the
-    buffered-persistence machine. *)
+val engine_cfg : mconfig -> Persistency.Config.t
+(** [default_cfg] with the Px86 durability of the machine's persistence
+    mode ({!Persistency.Config.px86_of_persistence}) — what {!run_one}
+    uses unless given [cfg]. *)
 
 val run_one :
   ?cfg:Persistency.Config.t ->
@@ -138,7 +139,6 @@ val run_one :
 type method_ = Brute | Dpor
 
 val method_name : method_ -> string
-val model_name : Memsim.Machine.model -> string
 
 type result = {
   test : test;

@@ -17,7 +17,6 @@ let prefix_buckets = Om.pow2_buckets 13
 let m_prefix_size =
   Om.histogram Om.default ~buckets:prefix_buckets "recovery.prefix_size"
 
-type observer = bytes -> (unit, string) result
 type cut_observer = cut:P.Iset.t -> bytes -> (unit, string) result
 
 type strategy =
@@ -127,9 +126,6 @@ let check_cuts ~graph ~capacity ~strategy observer =
   match result with
   | Ok () -> Ok { prefixes = !checked; nodes = total }
   | Error f -> Error f
-
-let check ~graph ~capacity ~strategy observer =
-  check_cuts ~graph ~capacity ~strategy (fun ~cut:_ image -> observer image)
 
 (* 2^20 prefixes is the most an exhaustive walk should attempt; the
    [all_down_closed] hard ceiling is 24 nodes, but graphs that dense

@@ -11,17 +11,17 @@
     Workloads (the queues, the KV store, examples) supply only the
     observer — the image decoder plus invariant check — and get the
     whole failure-injection pipeline: prefix generation, legality,
-    image construction, accounting, obs spans and counters. *)
-
-type observer = bytes -> (unit, string) result
-(** Recovery procedure + invariant check over one post-crash image.
-    [Error] describes why the image is unrecoverable. *)
+    image construction, accounting, obs spans and counters.
+    {!check_cuts} is the one walker every crash-state check goes
+    through. *)
 
 type cut_observer = cut:Persistency.Iset.t -> bytes -> (unit, string) result
-(** An observer that also sees the durable prefix the image was built
-    from — what a durable-linearizability oracle needs to classify
-    each operation's persists as fully / partially / not durable
-    (see {!Check.Dlin}).  Plain invariant checkers ignore [cut]. *)
+(** Recovery procedure + invariant check over one post-crash image;
+    [Error] describes why the image is unrecoverable.  [cut] is the
+    durable prefix the image was built from — what a
+    durable-linearizability oracle needs to classify each operation's
+    persists as fully / partially / not durable (see {!Check.Dlin}).
+    Plain invariant checkers ignore it: [fun ~cut:_ image -> ...]. *)
 
 (** How to walk the space of durable prefixes. *)
 type strategy =
@@ -60,14 +60,6 @@ val check_cuts :
     unrecoverable prefix.  [Sampled] draws are seed-stable; duplicate
     cuts are skipped (counted under the [recovery.duplicate_cuts]
     metric) rather than re-checked. *)
-
-val check :
-  graph:Persistency.Persist_graph.t ->
-  capacity:int ->
-  strategy:strategy ->
-  observer ->
-  (report, failure) result
-(** {!check_cuts} for observers that do not need the prefix itself. *)
 
 val render_failure : failure -> string
 (** ["crash state with N/M persists durable: ..."]. *)

@@ -33,7 +33,7 @@ let recover_fang ~(params : Queue.params) ~(layout : Queue.layout) image =
   in
   scan 0 []
 
-let recover ~(params : Queue.params) ~(layout : Queue.layout) image =
+let decode ~(params : Queue.params) ~(layout : Queue.layout) image =
   let total = params.threads * params.inserts_per_thread in
   if params.capacity_entries < total then
     Error "recovery checking requires a run without buffer wrap-around"
@@ -88,18 +88,15 @@ let check_fifo entries =
   in
   go entries
 
-let check ~params ~layout image =
-  match recover ~params ~layout image with
-  | Error msg -> Error msg
-  | Ok { entries; _ } -> check_fifo entries
-
-let checker ~params ~layout = fun image -> check ~params ~layout image
+let recover ~params ~layout image =
+  Result.bind (decode ~params ~layout image) (fun r ->
+      Result.map (fun () -> r) (check_fifo r.entries))
 
 let image_capacity (layout : Queue.layout) =
   max (layout.head_addr + 8) (layout.data_addr + layout.data_bytes)
 
 let verify ~params ~layout ~graph ~strategy =
-  Recovery.check ~graph
+  Recovery.check_cuts ~graph
     ~capacity:(image_capacity layout)
     ~strategy
-    (checker ~params ~layout)
+    (fun ~cut:_ image -> Result.map ignore (recover ~params ~layout image))

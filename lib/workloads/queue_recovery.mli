@@ -3,7 +3,7 @@
     Mirrors the paper's recovery rule: "an entry is not valid and
     recoverable until the head pointer encompasses the associated
     portion of the data segment".  Given a post-crash persistent memory
-    image (from {!Persistency.Observer}), [check] recovers the queue
+    image (from {!Persistency.Observer}), [recover] recovers the queue
     and validates:
 
     - the head pointer is a legal offset (slot-aligned, within what was
@@ -25,16 +25,8 @@ type recovered = {
 val recover :
   params:Queue.params -> layout:Queue.layout -> bytes ->
   (recovered, string) result
-
-val check :
-  params:Queue.params -> layout:Queue.layout -> bytes ->
-  (unit, string) result
-
-val checker :
-  params:Queue.params -> layout:Queue.layout ->
-  bytes -> (unit, string) result
-(** [check] partially applied, shaped for
-    {!Persistency.Observer.check_cut_invariant} and {!Recovery.check}. *)
+(** Recover the queue from a post-crash image and check every invariant
+    above; [Error] names the first one that fails. *)
 
 val image_capacity : Queue.layout -> int
 (** Bytes of persistent address space the image must cover. *)
@@ -46,5 +38,5 @@ val verify :
   strategy:Recovery.strategy ->
   (Recovery.report, Recovery.failure) result
 (** Failure-inject a queue run through the shared {!Recovery}
-    subsystem: walk durable prefixes of [graph] and run {!check} on
+    subsystem: walk durable prefixes of [graph] and run {!recover} on
     each post-crash image. *)

@@ -480,15 +480,14 @@ let test_observer_invariant_checker () =
     then Error "flag without payload"
     else Ok ()
   in
-  checkb "barrier protects" true
-    (P.Observer.check_cut_invariant g check_inv ~capacity:32 ~samples:100
-       ~seed:3
-    = Ok ());
+  let check g ~samples =
+    Recovery.check_cuts ~graph:g ~capacity:32
+      ~strategy:(Recovery.Sampled { samples; seed = 3 })
+      (fun ~cut:_ image -> check_inv image)
+  in
+  checkb "barrier protects" true (Result.is_ok (check g ~samples:100));
   let _, g2 = graph_of epoch [ st ~value:7L 8; st ~value:1L 16 ] in
-  checkb "no barrier violates" true
-    (P.Observer.check_cut_invariant g2 check_inv ~capacity:32 ~samples:200
-       ~seed:3
-    <> Ok ())
+  checkb "no barrier violates" true (Result.is_error (check g2 ~samples:200))
 
 (* Oracle on hand traces *)
 
@@ -577,7 +576,7 @@ let observer_cut_property =
         let rng = Random.State.make [| 42 |] in
         let dag = P.Persist_graph.to_dag g in
         List.for_all
-          (fun _ -> P.Dag.is_down_closed dag (P.Observer.random_cut g rng))
+          (fun _ -> P.Dag.is_down_closed dag (P.Dag.random_down_closed dag rng))
           (List.init 10 Fun.id))
 
 (* Crash states against reference copies of the code they replaced:
@@ -712,10 +711,7 @@ let litmus_graph (t : Litmus.test) (config : Litmus.mconfig) policy =
       ~memory ()
   in
   let engine =
-    P.Engine.create
-      (match config.M.persistence with
-      | M.Psync -> Litmus.default_cfg
-      | M.Pbuffered -> Litmus.buffered_cfg)
+    P.Engine.create (Litmus.engine_cfg config)
   in
   M.set_sink machine (P.Engine.observe engine);
   let addrs =

@@ -248,16 +248,12 @@ let test_fang_recovers_prefix () =
   let cfg = Persistency.Config.make Persistency.Config.Epoch in
   let m, graph, layout = R.analyze_with_graph params cfg in
   checki "all inserts ran" 16 m.R.inserts;
-  let capacity =
-    layout.Workloads.Queue.data_addr + layout.Workloads.Queue.data_bytes
-  in
   match
-    Persistency.Observer.check_cut_invariant graph
-      (Workloads.Queue_recovery.checker ~params ~layout)
-      ~capacity ~samples:300 ~seed:9
+    Workloads.Queue_recovery.verify ~params ~layout ~graph
+      ~strategy:(Recovery.Sampled { samples = 300; seed = 9 })
   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail (Recovery.render_failure f)
 
 let test_cache_impl () =
   let rows = Experiments.Cache_impl.run ~total_inserts:800 ~threads:2 () in

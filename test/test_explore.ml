@@ -197,7 +197,9 @@ let test_scripted_out_of_range () =
    persist dependence graph — or, when the graph outgrows
    [Dag.all_down_closed] (more than 24 persist nodes, as with 3
    inserts per thread), [sample_cuts] seeded random down-closed cuts
-   per trace.  CWL's single lock keeps the interleaving space
+   per trace, each trace with its own seed.  Crash states go through
+   [Recovery.check_cuts], which stops a trace at its first
+   unrecoverable one.  CWL's single lock keeps the interleaving space
    exhaustively small; 2LC's concurrent copies blow it past 2M, so for
    2LC we bound the depth-first search too
    ([require_complete = false]).
@@ -211,7 +213,7 @@ let exhaustive_queue ?(design = Q.Cwl) ?(limit = 20_000)
     ?(require_complete = true) ?(inserts_per_thread = 1)
     ?(capacity_entries = 2) ?sample_cuts annotation mode ~expect_safe () =
   let failures = ref 0 in
-  let rng = Random.State.make [| 17 |] in
+  let traces = ref 0 in
   let run policy =
     let params =
       { Q.design = design;
@@ -231,23 +233,18 @@ let exhaustive_queue ?(design = Q.Cwl) ?(limit = 20_000)
     let result = Q.run params ~sink:(P.Engine.observe engine) in
     let layout = result.Q.layout in
     let graph = Option.get (P.Engine.graph engine) in
-    let capacity = layout.Q.data_addr + layout.Q.data_bytes in
-    let cuts =
+    incr traces;
+    let sampled samples = Recovery.Sampled { samples; seed = 17 + !traces } in
+    let strategy =
       match sample_cuts with
-      | Some n -> List.init n (fun _ -> P.Observer.random_cut graph rng)
-      | None ->
-        if require_complete then P.Observer.all_cuts graph
-        else List.init 25 (fun _ -> P.Observer.random_cut graph rng)
+      | Some n -> sampled n
+      | None -> if require_complete then Recovery.Exhaustive else sampled 25
     in
-    List.iter
-      (fun cut ->
-        let image = P.Observer.image_of_cut graph cut ~capacity in
-        match Workloads.Queue_recovery.check ~params ~layout image with
-        | Ok () -> ()
-        | Error _ ->
-          incr failures;
-          if not expect_safe then raise Bug_found)
-      cuts
+    match Workloads.Queue_recovery.verify ~params ~layout ~graph ~strategy with
+    | Ok _ -> ()
+    | Error _ ->
+      incr failures;
+      if not expect_safe then raise Bug_found
   in
   match Memsim.Explore.run_all ~limit run with
   | o ->

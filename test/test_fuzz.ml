@@ -319,11 +319,7 @@ let gen_racefree_test rng seed =
 
 let fingerprint_census t (config : M.config) =
   let seen = Hashtbl.create 64 in
-  let cfg =
-    if config.persistence = M.Pbuffered then
-      Litmus.buffered_cfg
-    else Litmus.default_cfg
-  in
+  let cfg = Litmus.engine_cfg config in
   let run policy =
     let memory = Memsim.Memory.create ~persistent_capacity:1024 () in
     let machine =

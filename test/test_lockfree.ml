@@ -207,6 +207,32 @@ let test_buggy_traverse_caught_buffered () =
       Alcotest.(check string)
         "failure message matches" f.Recovery.message f'.Recovery.message)
 
+(* The engine's Px86 durability follows the machine: a tso-buffered
+   instance built from the default config (synchronous Px86) must check
+   exactly the crash states of one given buffered durability
+   explicitly.  With synchronous durability the engine ignores every
+   [Pdrain], so nearly all schedules collapse onto one persist graph. *)
+let test_buffered_durability_from_machine () =
+  let p =
+    C.explore_params ~threads:2 ~depth:1 ~machine:M.Tso
+      ~persistence:M.Pbuffered C.Nvtraverse
+  in
+  let census cfg =
+    let r =
+      Dr.check ~max_schedules:512 ~strategy (fun policy ->
+          Dr.lockfree_instance p cfg policy)
+    in
+    checkb "no failure" true (r.Dr.failure = None);
+    (r.Dr.distinct, r.Dr.prefixes)
+  in
+  let derived = census (P.Config.make P.Config.Epoch) in
+  let explicit =
+    census (P.Config.make ~px86:P.Config.Px86_buffered P.Config.Epoch)
+  in
+  Alcotest.(check (pair int int))
+    "distinct graphs and prefixes" explicit derived;
+  checkb "drains split the graphs" true (fst derived > 1)
+
 (* The sweep surface: cp/op for both correct disciplines over thread
    counts and the full machine matrix, the shape the persistsim
    lockfree subcommand renders.  The tso-buffered rows pin that the
@@ -252,7 +278,9 @@ let () =
           Alcotest.test_case "correct disciplines safe (tso-buffered)" `Quick
             test_correct_disciplines_safe_buffered;
           Alcotest.test_case "buggy-traverse caught (tso-buffered)" `Quick
-            test_buggy_traverse_caught_buffered ] );
+            test_buggy_traverse_caught_buffered;
+          Alcotest.test_case "buffered durability from the machine" `Quick
+            test_buffered_durability_from_machine ] );
       ( "experiment",
         [ Alcotest.test_case "sweep shape" `Quick test_exp_sweep ] )
     ]

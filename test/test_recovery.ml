@@ -45,9 +45,35 @@ let sampled_check ~design ~annotation ~mode ~seed =
   | Ok _ -> Ok ()
   | Error f -> Error (Recovery.render_failure f)
 
+let recovers ~params ~layout image =
+  Result.is_ok (Workloads.Queue_recovery.recover ~params ~layout image)
+
+(* Reference copy of the sampled loop the queue checker ran before
+   [Recovery.check_cuts] became the only crash-state walker: one rng
+   seeded with [seed], one DAG, [samples] draws, no dedupe, first
+   failure rendered with its cut size. *)
+let legacy_sampled_check graph check ~capacity ~samples ~seed =
+  let rng = Random.State.make [| seed |] in
+  let dag = P.Persist_graph.to_dag graph in
+  let rec loop i =
+    if i >= samples then Ok ()
+    else
+      let cut = P.Dag.random_down_closed dag rng in
+      match check (P.Observer.image_of_cut graph cut ~capacity) with
+      | Ok () -> loop (i + 1)
+      | Error msg ->
+        Error
+          (Printf.sprintf "crash state with %d/%d persists durable: %s"
+             (P.Iset.cardinal cut)
+             (P.Persist_graph.node_count graph)
+             msg)
+  in
+  loop 0
+
 (* The shared Recovery subsystem draws the same cut sequence as the
-   legacy observer entry point (same rng seeding, same generator), so
-   porting the checker must not change any verdict. *)
+   legacy sampled loop (same rng seeding, same generator) and only
+   skips repeats of cuts that already passed, so the verdict and its
+   rendering must not change. *)
 let test_verify_matches_legacy () =
   List.iter
     (fun annotation ->
@@ -57,8 +83,10 @@ let test_verify_matches_legacy () =
       in
       let capacity = Workloads.Queue_recovery.image_capacity layout in
       let legacy =
-        P.Observer.check_cut_invariant graph
-          (Workloads.Queue_recovery.checker ~params ~layout)
+        legacy_sampled_check graph
+          (fun image ->
+            Result.map ignore
+              (Workloads.Queue_recovery.recover ~params ~layout image))
           ~capacity ~samples:200 ~seed:9
       in
       let ported =
@@ -120,8 +148,7 @@ let test_buggy_annotation_targeted_cut () =
     P.Observer.image_of_cut graph cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
-  checkb "head durable without data" true
-    (Workloads.Queue_recovery.check ~params ~layout image <> Ok ())
+  checkb "head durable without data" false (recovers ~params ~layout image)
 
 let test_correct_annotation_targeted_cut () =
   (* the same targeted cut against the CORRECT annotation must be fine:
@@ -144,8 +171,7 @@ let test_correct_annotation_targeted_cut () =
     P.Observer.image_of_cut graph cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
-  checkb "closure carries the data" true
-    (Workloads.Queue_recovery.check ~params ~layout image = Ok ())
+  checkb "closure carries the data" true (recovers ~params ~layout image)
 
 let test_strict_unannotated_buggy_still_safe () =
   (* under strict persistency even the buggy program is safe: program
@@ -171,6 +197,40 @@ let test_empty_cut_recovers_empty () =
     Alcotest.(check int) "empty queue" 0
       (List.length r.Workloads.Queue_recovery.entries)
   | Error msg -> Alcotest.fail msg
+
+(* Two intact entries of one thread, swapped under the head: each
+   decodes on its own, so only the per-thread FIFO check inside
+   [recover] can reject the image. *)
+let test_swapped_entries_rejected () =
+  let params, layout, _ =
+    run_and_graph ~design:Q.Cwl ~annotation:Q.Epoch ~mode:P.Config.Epoch
+      ~threads:1 ~inserts:2 ~seed:1
+  in
+  let image =
+    Bytes.make (Workloads.Queue_recovery.image_capacity layout) '\000'
+  in
+  let put k seq =
+    let off = layout.Q.data_addr + (k * layout.Q.slot) in
+    Bytes.set_int64_le image off (Int64.of_int params.Q.entry_size);
+    Bytes.blit
+      (Workloads.Entry.make ~seed:params.Q.seed ~tid:0 ~seq
+         ~size:params.Q.entry_size)
+      0 image (off + 8) params.Q.entry_size
+  in
+  put 0 1;
+  put 1 0;
+  Bytes.set_int64_le image layout.Q.head_addr
+    (Int64.of_int (2 * layout.Q.slot));
+  Alcotest.(check (result unit string))
+    "swapped inserts"
+    (Error
+       "thread 0 committed seq 1 but 0 was expected — lost or reordered \
+        insert")
+    (Result.map ignore
+       (Workloads.Queue_recovery.recover ~params ~layout image));
+  put 0 0;
+  put 1 1;
+  checkb "in order" true (recovers ~params ~layout image)
 
 (* Property: any correctly annotated queue configuration recovers in
    every sampled crash state. *)
@@ -273,17 +333,17 @@ let test_auto_boundary () =
      asked... keep it small: n independent persists have 2^n prefixes *)
   let graph = graph_of_n 4 in
   (match
-     Recovery.check ~graph ~capacity:64 ~strategy:Recovery.Exhaustive
-       (fun _ -> Ok ())
+     Recovery.check_cuts ~graph ~capacity:64 ~strategy:Recovery.Exhaustive
+       (fun ~cut:_ _ -> Ok ())
    with
   | Ok r ->
     Alcotest.(check int) "2^4 prefixes" 16 r.Recovery.prefixes;
     Alcotest.(check int) "4 nodes" 4 r.Recovery.nodes
   | Error _ -> Alcotest.fail "exhaustive check failed");
   (match
-     Recovery.check ~graph ~capacity:64
+     Recovery.check_cuts ~graph ~capacity:64
        ~strategy:(Recovery.Sampled { samples = 9; seed = 1 })
-       (fun _ -> Ok ())
+       (fun ~cut:_ _ -> Ok ())
    with
   | Ok r ->
     (* prefixes counts DISTINCT sampled cuts: never more than the
@@ -296,9 +356,9 @@ let test_auto_boundary () =
      cut census: 4 independent persists have exactly 16 down-closed
      sets, no matter how many draws repeat *)
   match
-    Recovery.check ~graph ~capacity:64
+    Recovery.check_cuts ~graph ~capacity:64
       ~strategy:(Recovery.Sampled { samples = 4096; seed = 1 })
-      (fun _ -> Ok ())
+      (fun ~cut:_ _ -> Ok ())
   with
   | Ok r ->
     checkb "sampled census bounded" true (r.Recovery.prefixes <= 16);
@@ -323,6 +383,8 @@ let () =
           Alcotest.test_case "strict tolerates missing barriers" `Quick
             test_strict_unannotated_buggy_still_safe;
           Alcotest.test_case "empty cut" `Quick test_empty_cut_recovers_empty;
+          Alcotest.test_case "swapped entries rejected" `Quick
+            test_swapped_entries_rejected;
           Alcotest.test_case "Recovery.check matches legacy observer" `Quick
             test_verify_matches_legacy;
           Alcotest.test_case "Recovery.auto boundary" `Quick test_auto_boundary;

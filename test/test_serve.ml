@@ -351,7 +351,8 @@ let test_group_buggy_targeted_cut () =
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "marker durable without its batch's slots" true
-    (Kv_recovery.check_group ~layout ~batches:(G.batches store) image <> Ok ())
+    (Result.is_error
+       (Kv_recovery.recover_group ~layout ~batches:(G.batches store) image))
 
 let test_group_correct_targeted_cut () =
   let store, graph = group_run G.Epoch_group P.Config.Epoch two_batches in
@@ -362,7 +363,8 @@ let test_group_correct_targeted_cut () =
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "closure drags the slots along" true
-    (Kv_recovery.check_group ~layout ~batches:(G.batches store) image = Ok ())
+    (Result.is_ok
+       (Kv_recovery.recover_group ~layout ~batches:(G.batches store) image))
 
 (* End-to-end through the serve front-end, and the counter-example
    replayed: the simulation is deterministic, so re-running verify

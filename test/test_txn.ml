@@ -130,6 +130,12 @@ let test_recovery_corrupt_log () =
     (function Failure _ -> true | _ -> false)
     (fun () -> Txn.recover_image env.mgr image)
 
+(* [samples] seeded crash states of [graph], each checked by [check] *)
+let sampled_check graph check ~capacity ~samples =
+  Recovery.check_cuts ~graph ~capacity
+    ~strategy:(Recovery.Sampled { samples; seed = 7 })
+    (fun ~cut:_ image -> check image)
+
 (* atomicity under failure injection, for each annotation/model pair *)
 let atomicity_check ~annotation ~mode () =
   let env = make_env ~annotation ~policy:(M.Random 11) () in
@@ -157,11 +163,9 @@ let atomicity_check ~annotation ~mode () =
     if Int64.equal a b then Ok ()
     else Error (Printf.sprintf "torn transaction: %Ld <> %Ld" a b)
   in
-  match
-    P.Observer.check_cut_invariant graph check ~capacity ~samples:300 ~seed:7
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  match sampled_check graph check ~capacity ~samples:300 with
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail (Recovery.render_failure f)
 
 let test_atomicity_epoch () =
   atomicity_check ~annotation:Txn.Epoch_txn ~mode:P.Config.Epoch ()
@@ -200,8 +204,7 @@ let test_unannotated_unsafe_under_epoch () =
       if Int64.equal a b then Ok () else Error "torn"
   in
   checkb "missing barriers are caught" true
-    (P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:7
-    <> Ok ())
+    (Result.is_error (sampled_check graph check ~capacity ~samples:400))
 
 let () =
   Alcotest.run "txn"

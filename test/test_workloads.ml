@@ -152,15 +152,14 @@ let test_queue_final_image_complete () =
     Persistency.Observer.final_image graph
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
+  (* [recover] also checks per-thread FIFO order *)
   match Workloads.Queue_recovery.recover ~params ~layout image with
   | Error msg -> Alcotest.fail msg
   | Ok r ->
     checki "all entries recovered" 10
       (List.length r.Workloads.Queue_recovery.entries);
     checki "head covers all" (10 * layout.Q.slot)
-      r.Workloads.Queue_recovery.head;
-    checkb "fifo per thread" true
-      (Workloads.Queue_recovery.check ~params ~layout image = Ok ())
+      r.Workloads.Queue_recovery.head
 
 let test_queue_annotations_emit_barriers () =
   let count_meta annotation =
@@ -225,7 +224,7 @@ let test_queue_tlc_no_holes () =
           ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
       in
       checkb "complete and hole-free" true
-        (Workloads.Queue_recovery.check ~params ~layout image = Ok ()))
+        (Result.is_ok (Workloads.Queue_recovery.recover ~params ~layout image)))
     [ 1; 2; 3; 4; 5 ]
 
 let test_queue_insert_order_matches_threads () =
@@ -244,8 +243,9 @@ let test_queue_recovery_rejects_wrapped_runs () =
   let params, result, _ = run_queue ~inserts:32 ~capacity:8 () in
   let image = Bytes.make 4096 '\000' in
   checkb "wrap refused" true
-    (Workloads.Queue_recovery.check ~params ~layout:result.Q.layout image
-    <> Ok ())
+    (Result.is_error
+       (Workloads.Queue_recovery.recover ~params ~layout:result.Q.layout
+          image))
 
 let test_queue_recovery_detects_bad_head () =
   let params, result, _ = run_queue ~inserts:4 () in
@@ -253,11 +253,11 @@ let test_queue_recovery_detects_bad_head () =
   let image = Bytes.make (layout.Q.data_addr + layout.Q.data_bytes) '\000' in
   Bytes.set_int64_le image layout.Q.head_addr 13L (* not slot aligned *);
   checkb "misaligned head" true
-    (Workloads.Queue_recovery.check ~params ~layout image <> Ok ());
+    (Result.is_error (Workloads.Queue_recovery.recover ~params ~layout image));
   Bytes.set_int64_le image layout.Q.head_addr
     (Int64.of_int (100 * layout.Q.slot));
   checkb "head beyond inserts" true
-    (Workloads.Queue_recovery.check ~params ~layout image <> Ok ())
+    (Result.is_error (Workloads.Queue_recovery.recover ~params ~layout image))
 
 let test_queue_recovery_detects_hole () =
   let params, result, _ = run_queue ~inserts:4 () in
@@ -266,7 +266,7 @@ let test_queue_recovery_detects_hole () =
   (* head claims one entry but the data segment is all zeros *)
   Bytes.set_int64_le image layout.Q.head_addr (Int64.of_int layout.Q.slot);
   checkb "hole detected" true
-    (Workloads.Queue_recovery.check ~params ~layout image <> Ok ())
+    (Result.is_error (Workloads.Queue_recovery.recover ~params ~layout image))
 
 (* Keygen: seeded key-popularity distributions *)
 
